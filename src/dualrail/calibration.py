@@ -111,7 +111,7 @@ def solve_currents(
     phi = np.asarray(target_phases, dtype=float)
     if phi.shape != (8,):
         raise ValueError("expected 8 target phases")
-    if abs(np.linalg.det(model.matrix)) < 1e-300:
+    if np.linalg.cond(model.matrix) > 1.0 / np.finfo(float).eps:
         raise np.linalg.LinAlgError("cross-talk matrix is singular")
 
     delta = np.mod(phi - model.initial_phases, TWO_PI)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from . import optics, sampler
+from . import _blas, optics, sampler
 from .errors import DegenerateDataError
 from .sampler import CountRecord
 
@@ -221,14 +221,18 @@ def config_phase_settings(label: str, phase_bias: float = 0.0) -> tuple[float, .
 
 @dataclass(frozen=True)
 class QptDataset:
-    """Ordered (config label, CountRecord) pairs."""
+    """Ordered (config label, CountRecord) pairs with distinct labels."""
 
     records: tuple[tuple[str, CountRecord], ...]
 
     def __post_init__(self):
         recs = tuple((str(label), record) for label, record in self.records)
+        seen = set()
         for label, _ in recs:
             parse_config_label(label)
+            if label in seen:
+                raise ValueError(f"duplicate configuration label {label!r}")
+            seen.add(label)
         object.__setattr__(self, "records", recs)
 
     def __len__(self):
@@ -412,7 +416,9 @@ def mle_reconstruct(
 
     Counts are multiplied by the detection efficiencies, normalized per
     configuration, and fit by minimizing sum (P_theory - P_experiment)^2
-    with L-BFGS from a linear-inversion start plus perturbed restarts.
+    with L-BFGS from a linear-inversion start plus perturbed restarts.  The
+    fit runs OpenBLAS on one thread (see `_blas`) and restores the caller's
+    thread count afterwards.
     """
     if len(dataset) < 64:
         raise ValueError(
@@ -422,19 +428,20 @@ def mle_reconstruct(
     q = _measured_probabilities(dataset, efficiencies)
 
     rng = np.random.default_rng(seed)
-    t0 = _t_of_g(_linear_inversion_start(u_rows, q))
-    starts = [t0]
-    for _ in range(max(n_starts, 1) - 1):
-        starts.append(t0 + 0.05 * rng.standard_normal(256))
+    with _blas.single_thread():
+        t0 = _t_of_g(_linear_inversion_start(u_rows, q))
+        starts = [t0]
+        for _ in range(max(n_starts, 1) - 1):
+            starts.append(t0 + 0.05 * rng.standard_normal(256))
 
-    best = None
-    for start in starts:
-        res = minimize(
-            _cost_and_grad, start, args=(u_rows, q), jac=True,
-            method="L-BFGS-B", options={"maxiter": max_iter, "gtol": gtol},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
+        best = None
+        for start in starts:
+            res = minimize(
+                _cost_and_grad, start, args=(u_rows, q), jac=True,
+                method="L-BFGS-B", options={"maxiter": max_iter, "gtol": gtol},
+            )
+            if best is None or res.fun < best.fun:
+                best = res
 
     g = _g_of_t(best.x)
     G = g @ g.conj().T

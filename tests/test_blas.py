@@ -1,0 +1,96 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import dualrail
+from dualrail import _blas
+
+
+@pytest.fixture
+def libraries():
+    """Every loaded OpenBLAS, set to 2 threads for the test and reset after."""
+    libs = _blas._libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get_threads() for get_threads, _ in libs]
+    for _, set_threads in libs:
+        set_threads(2)
+    yield libs
+    for (_, set_threads), n in zip(libs, before):
+        set_threads(n)
+
+
+def thread_counts(libs):
+    return [get_threads() for get_threads, _ in libs]
+
+
+class TestSingleThread:
+    def test_one_thread_inside_and_restored_after(self, libraries):
+        with _blas.single_thread():
+            assert thread_counts(libraries) == [1] * len(libraries)
+        assert thread_counts(libraries) == [2] * len(libraries)
+
+    def test_restored_after_exception(self, libraries):
+        with pytest.raises(RuntimeError):
+            with _blas.single_thread():
+                raise RuntimeError("inside the fit")
+        assert thread_counts(libraries) == [2] * len(libraries)
+
+    def test_nested_blocks_restore_on_outer_exit(self, libraries):
+        with _blas.single_thread():
+            with _blas.single_thread():
+                pass
+            assert thread_counts(libraries) == [1] * len(libraries)
+        assert thread_counts(libraries) == [2] * len(libraries)
+
+    def test_concurrent_blocks_share_one_limit(self, libraries):
+        # a lost update of the shared depth would leave a block on more than
+        # one thread, or the process on one thread after all blocks exit
+        seen = []
+
+        def worker():
+            for _ in range(200):
+                with _blas.single_thread():
+                    seen.append(max(thread_counts(libraries)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 200 and set(seen) == {1}
+        assert thread_counts(libraries) == [2] * len(libraries)
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(_blas, "_libraries", lambda: ())
+        with _blas.single_thread():
+            pass
+
+
+def test_qpt_outputs_independent_of_thread_count(tmp_path):
+    # every --out file must be byte-identical whatever thread count the
+    # process starts with
+    env = dict(os.environ)
+    src = str(Path(dualrail.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys; from dualrail import cli; sys.exit(cli.main(sys.argv[1:]))"
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["qpt", "--simulate", "--starts", "1", "--seed", "3", "--out", str(out)]
+        env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                       timeout=300)
+        outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outs["1"]
+    assert outs["1"] == outs["2"]

@@ -127,6 +127,16 @@ class TestCrossTalkSolve:
         with pytest.raises(np.linalg.LinAlgError):
             cal.solve_currents(m, np.full(8, 0.1))
 
+    def test_numerically_singular_model_rejected(self):
+        # rows 0 and 2 proportional up to rounding: det is tiny but far above
+        # any fixed floor, while the condition number exceeds 1/eps
+        x, y = 0.0215327690175707, 0.08589195577097951
+        a = np.eye(8) * 0.05
+        a[0, 2], a[2, 0], a[2, 2] = x, y, x * y / 0.05
+        m = cal.CrossTalkModel(a, np.zeros(8))
+        with pytest.raises(np.linalg.LinAlgError):
+            cal.solve_currents(m, np.full(8, 0.1))
+
     def test_infeasible_after_wrap_cap(self):
         # near-degenerate positive coupling ping-pongs between channels
         a = np.eye(8) * 0.04

@@ -238,6 +238,12 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             tomo.mle_reconstruct(small)
 
+    def test_duplicate_label_rejected(self):
+        records = list(tomo.load_reference_counts().records)
+        records[5] = records[4]
+        with pytest.raises(ValueError, match=repr(records[4][0])):
+            tomo.QptDataset(tuple(records))
+
     def test_efficiency_weighting_changes_probabilities(self):
         dataset = tomo.load_reference_counts()
         q1 = tomo._measured_probabilities(dataset, None)
