@@ -4,6 +4,7 @@ from .errors import ConvergenceError, DegenerateDataError, InfeasibleTargetError
 from .optics import (
     ChipParameters,
     build_chip_unitary,
+    chip_unitaries,
     dc_matrix,
     fidelity,
     mzi_matrix,
@@ -57,7 +58,7 @@ from .vqe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChipParameters", "build_chip_unitary", "dc_matrix", "fidelity",
+    "ChipParameters", "build_chip_unitary", "chip_unitaries", "dc_matrix", "fidelity",
     "mzi_matrix", "phase_matrix", "sinkhorn_scale",
     "CountRecord", "coincidence_probabilities", "hom_curve", "hom_visibility",
     "permanent", "prob_indistinguishable", "prob_partial", "sample_counts",

@@ -106,7 +106,8 @@ def solve_currents(
 
     Solves I^2 = A^-1 (Phi - Phi0); any channel whose squared current comes
     out negative has its target raised by 2*pi and the solve repeats.  Targets
-    are first reduced so Phi - Phi0 starts in [0, 2*pi) per channel.
+    are first reduced so Phi - Phi0 starts in [0, 2*pi) per channel.  A
+    solution above the DAC's full scale is returned with `clipped` set.
     """
     phi = np.asarray(target_phases, dtype=float)
     if phi.shape != (8,):
@@ -114,13 +115,15 @@ def solve_currents(
     if np.linalg.cond(model.matrix) > 1.0 / np.finfo(float).eps:
         raise np.linalg.LinAlgError("cross-talk matrix is singular")
 
+    dac = dac or DacSpec()
     delta = np.mod(phi - model.initial_phases, TWO_PI)
     for _ in range(max_wraps + 1):
         i2 = np.linalg.solve(model.matrix, delta)
         negative = i2 < -1e-12
         if not np.any(negative):
             currents = np.sqrt(np.clip(i2, 0.0, None))
-            return CurrentVector(tuple(currents), dac or DacSpec())
+            clipped = bool(np.any(currents > dac.full_scale + 1e-12))
+            return CurrentVector(tuple(currents), dac, clipped)
         delta[negative] += TWO_PI
     raise InfeasibleTargetError(
         f"no nonnegative solution after {max_wraps} phase wraps"

@@ -27,20 +27,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _load_config_file(path) -> dict:
-    settings = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {raw!r}")
-            key, _, val = line.partition("=")
-            settings[key.strip().replace("-", "_")] = val.strip()
-    return settings
-
-
 _DEFAULTS = {
     "seed": 0,
     "shots": 2000,
@@ -77,7 +63,8 @@ _CASTS = {
 def _resolve(args) -> dict:
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
+        for key, val in optics.read_key_values(args.config).items():
+            key = key.replace("-", "_")
             if key not in settings:
                 raise ValueError(f"unknown config key {key!r}")
             settings[key] = _CASTS.get(key, str)(val)

@@ -1,5 +1,9 @@
 """Bundled reference tables (heater cross-talk, CNOT tomography counts,
-and the 0.4 A hydrogen Hamiltonian coefficients)."""
+and the 0.4 A hydrogen Hamiltonian coefficients).
+
+The published `sum` column of `table3_qpt_counts.csv` is kept but not read:
+it differs from C1+..+C4 in 28 of 64 rows (see `dataset_from_csv`).
+"""
 
 from importlib import resources
 

@@ -15,6 +15,7 @@ as diag(exp(i*phi), 1) on their mode pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ UNITARY_TOL = 1e-10
 QUBIT1_RAILS = (1, 2)
 QUBIT2_RAILS = (3, 4)
 ANCILLA_MODES = (0, 5)
+_QUBIT2_BLOCK = np.ix_(QUBIT2_RAILS, QUBIT2_RAILS)
 
 # Fock occupation vectors for the photon-pair input and the four
 # registered two-fold coincidences C1..C4.
@@ -42,33 +44,41 @@ COINCIDENCE_STATES = (
 IDENTITY_GATE_PHASES = (np.pi,) * 8
 
 
-def dc_matrix(reflectivity: float) -> np.ndarray:
-    """2x2 directional-coupler unitary for power reflectivity R in [0, 1]."""
-    r = float(reflectivity)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {r}")
-    t = np.sqrt(1.0 - r)
-    s = np.sqrt(r)
-    return np.array([[s, 1j * t], [1j * t, s]], dtype=complex)
+def dc_matrix(reflectivity) -> np.ndarray:
+    """2x2 directional-coupler unitary for power reflectivity R in [0, 1];
+    R of shape S gives S + (2, 2)."""
+    r = np.asarray(reflectivity, dtype=float)
+    if not all(0.0 <= v <= 1.0 for v in r.flat):
+        raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+    out = np.empty(r.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.sqrt(r)
+    out[..., 0, 1] = out[..., 1, 0] = 1j * np.sqrt(1.0 - r)
+    return out
 
 
-def phase_matrix(phi: float) -> np.ndarray:
-    """2x2 phase shifter diag(exp(i*phi), 1)."""
-    return np.diag([np.exp(1j * float(phi)), 1.0]).astype(complex)
+def phase_matrix(phi) -> np.ndarray:
+    """2x2 phase shifter diag(exp(i*phi), 1); phi of shape S gives S + (2, 2)."""
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros(phi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(1j * phi), 1.0
+    return out
 
 
-def mzi_matrix(r1: float, r2: float, phi: float) -> np.ndarray:
-    """Mach-Zehnder block DC(r2) @ P(phi) @ DC(r1)."""
+def mzi_matrix(r1, r2, phi) -> np.ndarray:
+    """Mach-Zehnder block DC(r2) @ P(phi) @ DC(r1), broadcast over stacks."""
     return dc_matrix(r2) @ phase_matrix(phi) @ dc_matrix(r1)
 
 
 def embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int = 6) -> np.ndarray:
-    """Place a k x k block on the given modes of an n-mode identity."""
-    k = block.shape[0]
-    if block.shape != (k, k) or len(modes) != k:
+    """Place a (stack of) k x k block(s) on the given modes of an n-mode identity."""
+    k = block.shape[-1]
+    if block.shape[-2:] != (k, k) or len(modes) != k:
         raise ValueError("block shape and mode count disagree")
-    out = np.eye(n_modes, dtype=complex)
-    out[np.ix_(modes, modes)] = block
+    out = np.zeros(block.shape[:-2] + (n_modes * n_modes,), dtype=complex)
+    out[..., :: n_modes + 1] = 1.0  # the identity, on the flattened matrix
+    out = out.reshape(block.shape[:-2] + (n_modes, n_modes))
+    idx = np.asarray(modes)
+    out[..., idx[:, None], idx] = block
     return out
 
 
@@ -138,18 +148,10 @@ class ChipParameters:
         return replace(self, splitting_ratios=tuple(ratios))
 
 
-def _prep_block(r_a, r_b, phi_mzi, phi_rail):
-    # propagation order: DC, internal phase, DC, rail phase
-    return phase_matrix(phi_rail) @ mzi_matrix(r_a, r_b, phi_mzi)
-
-
-def _meas_block(r_a, r_b, phi_rail, phi_mzi):
-    # mirror image of the preparation stage: rail phase first
-    return mzi_matrix(r_a, r_b, phi_mzi) @ phase_matrix(phi_rail)
-
-
+@lru_cache(maxsize=16)
 def cnot_section(params: ChipParameters) -> np.ndarray:
-    """The post-selected CNOT block B3 T2 B2 T1 B1 on six modes."""
+    """The post-selected CNOT block B3 T2 B2 T1 B1 on six modes; cached per
+    parameter set (a VQE run shares one), so the array is read-only."""
     r = params.splitting_ratios
     th1, th2 = params.static_phases
     b1 = embed(dc_matrix(r[4]), QUBIT2_RAILS)
@@ -161,22 +163,39 @@ def cnot_section(params: ChipParameters) -> np.ndarray:
     )
     t2 = embed(phase_matrix(th2), QUBIT2_RAILS)
     b3 = embed(dc_matrix(r[8]), QUBIT2_RAILS)
-    return b3 @ t2 @ b2 @ t1 @ b1
+    section = b3 @ t2 @ b2 @ t1 @ b1
+    section.setflags(write=False)
+    return section
+
+
+def _rail_stage(blocks):
+    # blocks[..., q, :, :] acts on the rails of qubit q (q = 0, 1)
+    stage = embed(blocks[..., 0, :, :], QUBIT1_RAILS)
+    stage[(Ellipsis,) + _QUBIT2_BLOCK] = blocks[..., 1, :, :]
+    return stage
+
+
+def chip_unitaries(params: ChipParameters, phases) -> np.ndarray:
+    """Chip unitaries U = U2 @ CNOT @ U1, shape (..., 6, 6), one for each
+    row of `phases` (..., 8) in place of the tunable phases of `params`."""
+    p = np.asarray(phases, dtype=float)
+    if p.shape[-1:] != (8,):
+        raise ValueError("expected 8 tunable phases along the last axis")
+    r = params.splitting_ratios
+    # q[..., stage, qubit, :] holds the preparation (MZI, rail) and the
+    # measurement (rail, MZI) phases.  Preparation propagates DC, MZI phase,
+    # DC, rail phase; measurement mirrors it.
+    q = p.reshape(p.shape[:-1] + (2, 2, 2))
+    prep = (phase_matrix(q[..., 0, :, 1])
+            @ mzi_matrix((r[0], r[2]), (r[1], r[3]), q[..., 0, :, 0]))
+    meas = (mzi_matrix((r[9], r[11]), (r[10], r[12]), q[..., 1, :, 1])
+            @ phase_matrix(q[..., 1, :, 0]))
+    return _rail_stage(meas) @ cnot_section(params) @ _rail_stage(prep)
 
 
 def build_chip_unitary(params: ChipParameters) -> np.ndarray:
-    """Full 6x6 chip unitary U = U2 @ CNOT @ U1."""
-    r = params.splitting_ratios
-    p = params.tunable_phases
-    u1 = (
-        embed(_prep_block(r[0], r[1], p[0], p[1]), QUBIT1_RAILS)
-        @ embed(_prep_block(r[2], r[3], p[2], p[3]), QUBIT2_RAILS)
-    )
-    u2 = (
-        embed(_meas_block(r[9], r[10], p[4], p[5]), QUBIT1_RAILS)
-        @ embed(_meas_block(r[11], r[12], p[6], p[7]), QUBIT2_RAILS)
-    )
-    return u2 @ cnot_section(params) @ u1
+    """Full 6x6 chip unitary at the chip's own tunable phases."""
+    return chip_unitaries(params, params.tunable_phases)
 
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -254,7 +273,8 @@ def save_chip_parameters(params: ChipParameters, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_chip_parameters(path) -> ChipParameters:
+def read_key_values(path) -> dict[str, str]:
+    """The `key = value` lines of a text file; `#` starts a comment."""
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -262,9 +282,14 @@ def load_chip_parameters(path) -> ChipParameters:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed chip parameter line: {raw!r}")
+                raise ValueError(f"malformed key = value line: {raw!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = float(val)
+            values[key.strip()] = val.strip()
+    return values
+
+
+def load_chip_parameters(path) -> ChipParameters:
+    values = {key: float(val) for key, val in read_key_values(path).items()}
     try:
         ratios = tuple(values[f"R{j}"] for j in range(1, 14))
         phases = tuple(values[f"phi{j}"] for j in range(1, 9))

@@ -1,5 +1,6 @@
-"""Two-photon output statistics: permanents, partial distinguishability,
-and shot-noisy coincidence sampling."""
+"""Two-photon output statistics: closed-form 2x2 permanents with partial
+distinguishability, batched over stacks of unitaries, shot-noisy coincidence
+sampling, and the general Ryser `permanent` as the reference oracle."""
 
 from __future__ import annotations
 
@@ -70,10 +71,7 @@ def _validate_fock(state, n_modes: int) -> tuple[int, ...]:
 
 
 def _mode_list(state) -> list[int]:
-    out = []
-    for mode, occ in enumerate(state):
-        out.extend([mode] * occ)
-    return out
+    return [mode for mode, occ in enumerate(state) for _ in range(occ)]
 
 
 def submatrix_for_transition(U: np.ndarray, input_state, output_state) -> np.ndarray:
@@ -90,10 +88,7 @@ def submatrix_for_transition(U: np.ndarray, input_state, output_state) -> np.nda
 
 
 def _factorial_norm(state) -> float:
-    prod = 1.0
-    for occ in state:
-        prod *= math.factorial(occ)
-    return prod
+    return float(math.prod(math.factorial(occ) for occ in state))
 
 
 def prob_indistinguishable(U: np.ndarray, input_state, output_state) -> float:
@@ -101,6 +96,52 @@ def prob_indistinguishable(U: np.ndarray, input_state, output_state) -> float:
     sub = submatrix_for_transition(U, input_state, output_state)
     norm = _factorial_norm(input_state) * _factorial_norm(output_state)
     return float(abs(permanent(sub)) ** 2 / norm)
+
+
+def _pair_modes(n_modes: int, input_state, output_state):
+    # input and output mode pairs of a two-photon transition
+    inp = _validate_fock(input_state, n_modes)
+    out = _validate_fock(output_state, n_modes)
+    if sum(inp) != 2 or max(inp) != 1 or sum(out) != 2:
+        raise ValueError("expected two photons, entering in distinct modes")
+    return _mode_list(inp), _mode_list(out)
+
+
+def _mul(a, b):
+    # complex product from real parts, rounded like the scalar product:
+    # numpy's vectorized complex multiply may fuse and round differently
+    return ((a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
+
+
+def _perm2(m):
+    """Permanents m00 m11 + m01 m10 of stacked 2x2 matrices m[..., 2, 2],
+    expanded as Ryser's Gray-code walk does, so they equal `permanent`."""
+    row0 = m[..., 0, 0] + m[..., 0, 1]
+    row1 = m[..., 1, 0] + m[..., 1, 1]
+    return ((_mul(row0, row1) - _mul(m[..., 0, 0], m[..., 1, 0]))
+            - _mul(row0 - m[..., 0, 0], row1 - m[..., 1, 0]))
+
+
+def _two_photon(U, modes_in, modes_out, x):
+    """P = (1-x^2) Perm(|S|^2) + x^2 |Perm(S)|^2, over 2! if i == j.
+
+    S = U[(i, j), (a, b)] for photons entering modes_in = (a, b) and leaving
+    in modes_out = (i, j), or in each row of a (K, 2) array of such pairs.
+    U may be a stack of unitaries, and x an array of overlaps.
+    """
+    x = np.asarray(x, dtype=float)
+    if not all(0.0 <= v <= 1.0 for v in x.flat):
+        raise ValueError(f"overlap x must lie in [0, 1], got {x}")
+    U = np.asarray(U, dtype=complex)
+    rows = np.asarray(modes_out)
+    sub = U[..., rows[..., None], np.asarray(modes_in)]
+    norm = np.where(rows[..., 0] == rows[..., 1], 2.0, 1.0)
+    amplitude, classical = _perm2(np.stack([sub, np.abs(sub) ** 2]))
+    # hypot and pow round like abs(z) ** 2 of the oracle's Python complex
+    quantum = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2)
+    x2 = x * x
+    return (1.0 - x2) * (classical.real / norm) + x2 * (quantum / norm)
 
 
 def prob_partial(U: np.ndarray, input_state, output_state, x: float) -> float:
@@ -111,39 +152,24 @@ def prob_partial(U: np.ndarray, input_state, output_state, x: float) -> float:
     which for singly occupied outputs reduces to the explicit form
     |a|^2|d|^2 + |b|^2|c|^2 + x^2 (ad(bc)* + bc(ad)*).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"overlap x must lie in [0, 1], got {x}")
-    inp = _validate_fock(input_state, np.asarray(U).shape[0])
-    if sum(inp) != 2 or max(inp) != 1:
-        raise ValueError(
-            "prob_partial requires two photons in distinct input modes"
-        )
-    sub = submatrix_for_transition(U, input_state, output_state)
-    norm = _factorial_norm(output_state)
-    p_quantum = abs(permanent(sub)) ** 2 / norm
-    p_classical = np.real(permanent(np.abs(sub) ** 2)) / norm
-    x2 = x * x
-    return float((1.0 - x2) * p_classical + x2 * p_quantum)
+    modes = _pair_modes(np.asarray(U).shape[0], input_state, output_state)
+    return float(_two_photon(U, *modes, x))
 
 
 def two_photon_states(n_modes: int = 6) -> list[tuple[int, ...]]:
     """All C(n+1, 2) two-photon occupation vectors on n modes."""
-    states = []
-    for i in range(n_modes):
-        for j in range(i, n_modes):
-            occ = [0] * n_modes
-            occ[i] += 1
-            occ[j] += 1
-            states.append(tuple(occ))
-    return states
+    return [tuple((m == i) + (m == j) for m in range(n_modes))
+            for i in range(n_modes) for j in range(i, n_modes)]
+
+
+# output mode pairs (i, j) of the coincidences C1..C4
+_COINCIDENCE_MODES = [_mode_list(s) for s in optics.COINCIDENCE_STATES]
 
 
 def coincidence_probabilities(U: np.ndarray, x: float = 1.0) -> np.ndarray:
-    """P1..P4 for the four logical coincidence outputs with input |0,1,0,1,0,0>."""
-    return np.array([
-        prob_partial(U, optics.INPUT_STATE, out, x)
-        for out in optics.COINCIDENCE_STATES
-    ])
+    """P1..P4 for the four logical coincidence outputs with input |0,1,0,1,0,0>;
+    U of shape (6, 6) gives shape (4,), a stack (N, 6, 6) gives (N, 4)."""
+    return _two_photon(U, _mode_list(optics.INPUT_STATE), _COINCIDENCE_MODES, x)
 
 
 @dataclass(frozen=True)
@@ -212,9 +238,8 @@ def hom_curve(
     coincidences monitored between modes 3 and 5 (the chip set to the bare
     CNOT acts as a balanced splitter between those modes).
     """
-    return np.array([
-        prob_partial(U, input_state, output_state, x) for x in x_values
-    ])
+    modes = _pair_modes(np.asarray(U).shape[0], input_state, output_state)
+    return _two_photon(U, *modes, x_values)
 
 
 def hom_visibility(probabilities) -> float:

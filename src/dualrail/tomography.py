@@ -35,9 +35,9 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# {I,X,Y,Z} x {I,X,Y,Z}, index m = 4*i + j
-PAULI_OPS = [np.kron(a, b) for a in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
-             for b in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)]
+# {I,X,Y,Z} x {I,X,Y,Z} stacked as (16, 4, 4), index m = 4*i + j
+PAULI_OPS = np.array([np.kron(a, b) for a in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
+                      for b in (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)])
 PAULI_LABELS = [a + b for a in "IXYZ" for b in "IXYZ"]
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -61,30 +61,20 @@ def ideal_cnot_chi() -> np.ndarray:
 
 def chi_from_kraus(kraus_ops) -> np.ndarray:
     """Process matrix of rho -> sum_i K_i rho K_i^dag."""
-    chi = np.zeros((16, 16), dtype=complex)
-    for k in kraus_ops:
-        a = np.array([np.trace(E.conj().T @ k) / 4.0 for E in PAULI_OPS])
-        chi += np.outer(a, a.conj())
-    return chi
+    return sum(chi_from_unitary(k) for k in kraus_ops)
 
 
 def process_apply(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """E(rho) = sum_mn chi_mn E_m rho E_n^dag."""
-    chi = np.asarray(chi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for m in range(16):
-        left = PAULI_OPS[m] @ rho
-        for n in range(16):
-            if chi[m, n] != 0:
-                out += chi[m, n] * left @ PAULI_OPS[n].conj().T
-    return out
+    return np.einsum("mn,mij,jk,nlk->il", np.asarray(chi, dtype=complex),
+                     PAULI_OPS, np.asarray(rho, dtype=complex), PAULI_OPS.conj(),
+                     optimize=True)
 
 
 def predict_probability(chi: np.ndarray, prep_state, proj_state) -> float:
     """Tr[ |proj><proj| E(|prep><prep|) ] for pure preparation/projection."""
-    u = _transfer_vector(np.asarray(prep_state, complex),
-                         np.asarray(proj_state, complex))
+    u = _transfer_rows(np.array([prep_state], complex),
+                       np.array([proj_state], complex))[0]
     return float(np.real(np.vdot(u, np.asarray(chi, complex) @ u)))
 
 
@@ -194,18 +184,18 @@ def config_states(label: str):
     """Preparation two-qubit state and the four outcome projector states."""
     p1, p2, b1, b2 = parse_config_label(label)
     prep = np.kron(codebook_state(p1, 0), codebook_state(p2, 1))
-    taus = []
-    for k in range(4):
-        o1 = BASIS_OUTCOMES[b1][0 if k < 2 else 1]
-        o2 = BASIS_OUTCOMES[b2][0 if k % 2 == 0 else 1]
-        taus.append(np.kron(codebook_state(o1, 0), codebook_state(o2, 1)))
+    # outcome k = 2 * (qubit-1 outcome) + (qubit-2 outcome), as C1..C4
+    taus = [np.kron(codebook_state(o1, 0), codebook_state(o2, 1))
+            for o1 in BASIS_OUTCOMES[b1] for o2 in BASIS_OUTCOMES[b2]]
     return prep, taus
 
 
-def _transfer_vector(prep, tau):
-    """u with P = u^dag chi u; u_m = conj(<tau|E_m|prep>)."""
-    v = np.array([np.vdot(tau, E @ prep) for E in PAULI_OPS])
-    return v.conj()
+def _transfer_rows(preps, taus):
+    """Rows u_k with P_k = u_k^dag chi u_k; u_km = conj(<tau_k|E_m|prep_k>)."""
+    kets = np.einsum("mij,kj->kmi", PAULI_OPS, preps)  # E_m|prep_k>
+    # a batch of (1, 4) @ (4, 1) products: numpy reduces each with the BLAS
+    # dot that np.vdot uses, so every row rounds as a single vdot would
+    return (taus.conj()[:, None, None, :] @ kets[..., None])[..., 0, 0].conj()
 
 
 def config_phase_settings(label: str, phase_bias: float = 0.0) -> tuple[float, ...]:
@@ -252,6 +242,11 @@ def dataset_to_csv(dataset: QptDataset) -> str:
 
 
 def dataset_from_csv(text: str) -> QptDataset:
+    """Parse `config,C1,C2,C3,C4[,sum]` rows into a dataset.
+
+    A `sum` column is not read; totals are C1+..+C4.  The bundled file keeps
+    its published `sum` column, which disagrees with them in 28 of 64 rows.
+    """
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -320,10 +315,8 @@ def efficiency_routing_phases() -> list[tuple[float, ...]]:
     The pair is prepared in the self-mapped basis configuration; the
     measurement stages then either pass or swap each qubit's rails.
     """
-    out = []
-    for p1, p2, m1, m2 in EFFICIENCY_ROUTING_MEAS:
-        out.append(tuple(PREP_PHASES[p1]) + tuple(PREP_PHASES[p2]) + m1 + m2)
-    return out
+    return [PREP_PHASES[p1] + PREP_PHASES[p2] + m1 + m2
+            for p1, p2, m1, m2 in EFFICIENCY_ROUTING_MEAS]
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +332,11 @@ class MleResult:
     n_iterations: int
 
 
-def _design_rows(dataset: QptDataset) -> np.ndarray:
-    rows = []
-    for label, _ in dataset.records:
-        prep, taus = config_states(label)
-        rows.extend(_transfer_vector(prep, tau) for tau in taus)
-    return np.array(rows)
+def _design_rows(labels) -> np.ndarray:
+    """Transfer rows (see `_transfer_rows`), four outcomes per label."""
+    states = [config_states(label) for label in labels]
+    preps = np.repeat([prep for prep, _ in states], 4, axis=0)
+    return _transfer_rows(preps, np.array([tau for _, four in states for tau in four]))
 
 
 def _measured_probabilities(dataset: QptDataset, efficiencies) -> np.ndarray:
@@ -424,7 +416,7 @@ def mle_reconstruct(
         raise ValueError(
             f"need at least 64 configurations for reconstruction, got {len(dataset)}"
         )
-    u_rows = _design_rows(dataset)
+    u_rows = _design_rows(dataset.labels())
     q = _measured_probabilities(dataset, efficiencies)
 
     rng = np.random.default_rng(seed)
@@ -465,8 +457,7 @@ def simulate_config_probabilities(
 ) -> np.ndarray:
     """Coincidence probabilities P1..P4 for one configuration."""
     phases = config_phase_settings(label, phase_bias)
-    U = optics.build_chip_unitary(chip.with_phases(phases))
-    return sampler.coincidence_probabilities(U, x)
+    return sampler.coincidence_probabilities(optics.chip_unitaries(chip, phases), x)
 
 
 def run_qpt_simulation(
@@ -487,19 +478,18 @@ def run_qpt_simulation(
     """
     if shots_per_config <= 0:
         raise ValueError("shots_per_config must be positive")
-    if labels is None:
-        labels = reference_config_labels()
+    labels = reference_config_labels() if labels is None else list(labels)
     eta = np.ones(4) if detector_efficiencies is None \
         else np.asarray(detector_efficiencies, dtype=float)
     if eta.shape != (4,) or np.any(eta < 0) or np.any(eta > 1):
         raise ValueError("detector efficiencies must be 4 values in [0, 1]")
+    phases = [config_phase_settings(label, phase_bias) for label in labels]
+    probs = sampler.coincidence_probabilities(
+        optics.chip_unitaries(chip, np.reshape(phases, (-1, 8))), x) * eta
     rng = np.random.default_rng(seed)
     pair_rate = 9.0 * shots_per_config
-    records = []
-    for label in labels:
-        probs = simulate_config_probabilities(chip, label, x, phase_bias) * eta
-        records.append((label, sampler.sample_counts(probs, pair_rate, 1.0, rng)))
-    return QptDataset(tuple(records))
+    return QptDataset(tuple((label, sampler.sample_counts(p, pair_rate, 1.0, rng))
+                            for label, p in zip(labels, probs)))
 
 
 def simulate_dataset_from_chi(
@@ -509,14 +499,11 @@ def simulate_dataset_from_chi(
     labels=None,
 ) -> QptDataset:
     """Sample a dataset directly from a process matrix (no chip model)."""
-    if labels is None:
-        labels = reference_config_labels()
+    labels = reference_config_labels() if labels is None else list(labels)
+    probs = _predicted(_design_rows(labels), np.asarray(chi, dtype=complex))
     rng = np.random.default_rng(seed)
     records = []
-    for label in labels:
-        prep, taus = config_states(label)
-        p = np.array([predict_probability(chi, prep, tau) for tau in taus])
-        p = np.clip(p, 0.0, None)
+    for label, p in zip(labels, np.clip(probs.reshape(-1, 4), 0.0, None)):
         draw = rng.multinomial(shots_per_config, p / p.sum())
         records.append((label, CountRecord(tuple(int(c) for c in draw))))
     return QptDataset(tuple(records))

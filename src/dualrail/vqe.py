@@ -153,13 +153,6 @@ def exact_expectation(h: PauliHamiltonian, phases) -> float:
     return float(np.real(np.vdot(psi, h.matrix() @ psi)))
 
 
-def _basis_probabilities(chip, ansatz_phases, meas_phases, slots):
-    full = tuple(ansatz_phases) + tuple(meas_phases)
-    U = optics.build_chip_unitary(chip.with_phases(full))
-    p = sampler.coincidence_probabilities(U, 1.0)
-    return p[list(slots)]
-
-
 def measure_energy(
     chip: optics.ChipParameters,
     h_proj: ProjectorHamiltonian,
@@ -172,8 +165,10 @@ def measure_energy(
     With shots_per_basis None the exact post-selected probabilities stand in
     for counts (scaled to integers only for the returned records).
     """
-    p_hh = _basis_probabilities(chip, ansatz_phases, HH_MEAS_PHASES, HH_SLOTS)
-    p_dd = _basis_probabilities(chip, ansatz_phases, DD_MEAS_PHASES, (0, 1, 2, 3))
+    phases = [(*ansatz_phases, *HH_MEAS_PHASES), (*ansatz_phases, *DD_MEAS_PHASES)]
+    p_hh, p_dd = sampler.coincidence_probabilities(
+        optics.chip_unitaries(chip, phases), 1.0)
+    p_hh = p_hh[list(HH_SLOTS)]
     if shots_per_basis is None:
         c_hh = p_hh / p_hh.sum()
         c_dd = p_dd / p_dd.sum()
@@ -319,36 +314,30 @@ def run_vqe(
 # Hamiltonian tables
 
 
-def load_pauli_table(text: str) -> list[tuple[float, PauliHamiltonian]]:
-    """Rows of (distance_angstrom, f0..f4)."""
+def _load_table(text: str, n_coefficients: int) -> list[list[float]]:
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line or line.lower().startswith("distance"):
             continue
         vals = [float(v) for v in line.split()]
-        if len(vals) != 6:
-            raise ValueError("expected distance plus five coefficients")
-        rows.append((vals[0], PauliHamiltonian(*vals[1:])))
+        if len(vals) != n_coefficients + 1:
+            raise ValueError(f"expected distance plus {n_coefficients} coefficients")
+        rows.append(vals)
     if not rows:
         raise ValueError("empty Hamiltonian table")
     return rows
+
+
+def load_pauli_table(text: str) -> list[tuple[float, PauliHamiltonian]]:
+    """Rows of (distance_angstrom, f0..f4)."""
+    return [(v[0], PauliHamiltonian(*v[1:])) for v in _load_table(text, 5)]
 
 
 def load_projector_table(text: str) -> list[tuple[float, ProjectorHamiltonian]]:
     """Rows of (distance_angstrom, f~0..f~7)."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.lower().startswith("distance"):
-            continue
-        vals = [float(v) for v in line.split()]
-        if len(vals) != 9:
-            raise ValueError("expected distance plus eight coefficients")
-        rows.append((vals[0], ProjectorHamiltonian(tuple(vals[1:]))))
-    if not rows:
-        raise ValueError("empty Hamiltonian table")
-    return rows
+    return [(v[0], ProjectorHamiltonian(tuple(v[1:])))
+            for v in _load_table(text, 8)]
 
 
 def reference_hamiltonian() -> tuple[float, PauliHamiltonian]:

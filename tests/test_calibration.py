@@ -146,6 +146,21 @@ class TestCrossTalkSolve:
         with pytest.raises(InfeasibleTargetError):
             cal.solve_currents(m, target)
 
+    def test_over_range_solution_flagged(self):
+        # 1 rad at 0.001 rad/mA^2 needs sqrt(1000) = 31.6 mA > 20 mA
+        m = cal.CrossTalkModel(np.eye(8) * 0.001, np.zeros(8))
+        iv = cal.solve_currents(m, np.full(8, 1.0))
+        assert iv.clipped
+        assert np.allclose(iv.values, np.sqrt(1000.0))
+        assert cal.quantize(iv).clipped
+
+    def test_in_range_solution_not_flagged(self):
+        # 0.1 rad needs 10 mA, inside the 20 mA full scale
+        m = cal.CrossTalkModel(np.eye(8) * 0.001, np.zeros(8))
+        iv = cal.solve_currents(m, np.full(8, 0.1))
+        assert not iv.clipped
+        assert np.allclose(iv.values, 10.0)
+
 
 class TestQuantize:
     def test_endpoints(self):

@@ -273,6 +273,19 @@ class TestSimulationAndIo:
         again = tomo.dataset_from_csv(text)
         assert again == dataset
 
+    def test_bundled_totals_are_four_count_sums(self):
+        # the published `sum` column is kept verbatim but never read: 28 of
+        # its 64 entries differ from C1+C2+C3+C4, the totals the loader uses
+        from dualrail import data
+        rows = [line.split(",") for line in data.qpt_counts_text().splitlines()
+                if line and not line.startswith(("#", "config"))]
+        dataset = tomo.load_reference_counts()
+        assert [row[0] for row in rows] == dataset.labels()
+        four_count_sums = [sum(int(c) for c in row[1:5]) for row in rows]
+        assert [rec.total for _, rec in dataset.records] == four_count_sums
+        published = [int(row[5]) for row in rows]
+        assert sum(a != b for a, b in zip(published, four_count_sums)) == 28
+
     def test_csv_error_carries_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             tomo.dataset_from_csv("config,C1,C2,C3,C4,sum\nHHhh,1,2,3,4,10\nVVhh,a,2,3,4,9\n")
