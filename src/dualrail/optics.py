@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
 
@@ -230,29 +231,74 @@ def sinkhorn_scale(
 ) -> np.ndarray:
     """Scale a nonnegative matrix to doubly stochastic form D1 @ M @ D2.
 
-    Alternates row and column normalizations until every row and column sum
-    is within `tol` of 1.  Raises ConvergenceError (with the residual) if the
-    iteration cap is hit.
+    Newton matrix balancing (Knight & Ruiz, IMA J. Numer. Anal. 33, 2013):
+    with P = diag(e^u) M diag(e^v), minimize the convex potential
+    f(u, v) = sum(P) - sum(u) - sum(v), whose gradient is the row and column
+    sum errors of P.  Each Newton step solves the Hessian system
+    [[diag r, P], [P^T, diag c]] d = -g for the minimum-norm d (the Hessian
+    is singular along the scaling gauge (1, -1)) and backtracks on f.  The
+    iteration starts from one row and one column normalization.  The rate is
+    quadratic, also on the nearly decomposable moduli of a real chip, where
+    alternating row and column normalization needs up to ~2e5 sweeps.
+    `max_iter` counts Newton steps.
+
+    Returns P once every row and column sum is within `tol` of 1.  Raises
+    ValueError if no scaling exists (the support has no positive diagonal),
+    and ConvergenceError (with the residual) after `max_iter` Newton steps,
+    or when a step can no longer decrease f.
     """
     m = np.array(power_matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("expected finite entries")
     if np.any(m < 0):
         raise ValueError("expected nonnegative entries")
     if np.any(m.sum(axis=1) <= 0) or np.any(m.sum(axis=0) <= 0):
         raise ValueError("row and column sums must be strictly positive")
-
-    for _ in range(max_iter):
-        m /= m.sum(axis=1, keepdims=True)
-        m /= m.sum(axis=0, keepdims=True)
-        residual = max(
-            np.max(np.abs(m.sum(axis=1) - 1.0)),
-            np.max(np.abs(m.sum(axis=0) - 1.0)),
+    rows, cols = linear_sum_assignment(m > 0, maximize=True)
+    if not np.all(m[rows, cols] > 0):
+        raise ValueError(
+            "no doubly stochastic scaling exists: "
+            "the nonzero pattern has no positive diagonal"
         )
+
+    n = m.shape[0]
+    # start from one row-then-column normalization, so that the Hessian is
+    # well scaled whatever the magnitudes of the input
+    m /= m.sum(axis=1, keepdims=True)
+    m /= m.sum(axis=0, keepdims=True)
+    for step in range(max_iter + 1):
+        r, c = m.sum(axis=1), m.sum(axis=0)
+        g = np.concatenate([r - 1.0, c - 1.0])
+        residual = float(np.max(np.abs(g)))
         if residual < tol:
             return m
+        if step == max_iter:
+            break
+        hessian = np.block([[np.diag(r), m], [m.T, np.diag(c)]])
+        d = -np.linalg.lstsq(hessian, g, rcond=None)[0]
+        a = d[:n, None] + d[n:]
+        slope = g @ d
+        # Armijo backtracking on f.  Its change is summed term by term,
+        # f(x + t d) - f(x) = t g.d + sum P (expm1(t a) - t a), because near
+        # the optimum it is far below the rounding error of f itself.
+        t = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t > 1e-12:
+                ta = t * a
+                change = t * slope + np.sum(m * (np.expm1(ta) - ta))
+                if change <= 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                raise ConvergenceError(
+                    f"matrix balancing stalled at residual {residual:.3g}",
+                    residual=residual,
+                )
+        m = m * np.exp(ta)
     raise ConvergenceError(
-        f"Sinkhorn scaling did not reach {tol} within {max_iter} iterations",
+        f"matrix balancing did not reach {tol} within {max_iter} Newton steps",
         residual=residual,
     )
 

@@ -77,9 +77,9 @@ class TestSingleThread:
             pass
 
 
-def test_qpt_outputs_independent_of_thread_count(tmp_path):
-    # every --out file must be byte-identical whatever thread count the
-    # process starts with
+def outputs_at_thread_counts(tmp_path, argv):
+    """The --out files of `dualrail argv`, run in a subprocess that starts
+    at OPENBLAS_NUM_THREADS=1 and at =2."""
     env = dict(os.environ)
     src = str(Path(dualrail.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -87,10 +87,25 @@ def test_qpt_outputs_independent_of_thread_count(tmp_path):
     outs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        argv = ["qpt", "--simulate", "--starts", "1", "--seed", "3", "--out", str(out)]
         env["OPENBLAS_NUM_THREADS"] = threads
-        subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
-                       timeout=300)
+        subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                       env=env, check=True, timeout=300)
         outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return outs
+
+
+def test_qpt_outputs_independent_of_thread_count(tmp_path):
+    # every --out file must be byte-identical whatever thread count the
+    # process starts with
+    outs = outputs_at_thread_counts(
+        tmp_path, ["qpt", "--simulate", "--starts", "1", "--seed", "3"])
     assert outs["1"]
+    assert outs["1"] == outs["2"]
+
+
+def test_characterize_outputs_independent_of_thread_count(tmp_path):
+    # matrix balancing solves its Newton steps with LAPACK
+    outs = outputs_at_thread_counts(
+        tmp_path, ["characterize", "--seed", "7", "--ratio-sigma", "0.02"])
+    assert "moduli_recovered.csv" in outs["1"]
     assert outs["1"] == outs["2"]

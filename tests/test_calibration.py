@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrail import calibration as cal
 from dualrail.errors import InfeasibleTargetError
@@ -92,6 +93,17 @@ class TestCrossTalkSolve:
             iv = cal.solve_currents(model, target)
             realized = cal.apply_crosstalk(model, iv)
             assert wrapped_error(realized, target) < 1e-9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(currents=st.lists(st.floats(0.0, cal.DacSpec().full_scale),
+                             min_size=8, max_size=8))
+    def test_realized_phases_solve_back(self, model, currents):
+        # the phases of any drive inside full scale solve back to currents
+        # that realize them, also inside full scale
+        phases = cal.apply_crosstalk(model, cal.CurrentVector(currents))
+        iv = cal.solve_currents(model, phases)
+        assert not iv.clipped
+        assert wrapped_error(cal.apply_crosstalk(model, iv), phases) < 1e-9
 
     def test_wrap_resolves_negative_squares(self, model):
         # targets below the initial phases need a 2*pi lift

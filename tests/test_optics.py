@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrail import optics
 from dualrail.errors import ConvergenceError
@@ -9,6 +12,18 @@ def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def characterize_powers(seed, ratio_sigma):
+    """The raw powers and true moduli that `characterize --seed` draws."""
+    rng = np.random.default_rng(seed)
+    chip = optics.ChipParameters.ideal()
+    if ratio_sigma > 0.0:
+        chip = chip.perturbed(ratio_sigma, rng)
+    moduli = np.abs(optics.build_chip_unitary(chip)) ** 2
+    gains_in = rng.uniform(0.5, 1.5, 6)
+    gains_out = rng.uniform(0.5, 1.5, 6)
+    return moduli * np.outer(gains_out, gains_in), moduli
 
 
 class TestComponentMatrices:
@@ -196,11 +211,88 @@ class TestSinkhorn:
             optics.sinkhorn_scale(m, tol=1e-10, max_iter=2)
         assert err.value.residual is not None
 
+    def test_stalled_line_search_reported(self, monkeypatch):
+        # an ascent direction can never decrease f: the backtracking must end
+        # in ConvergenceError rather than loop
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda h, g, rcond: (-lstsq(h, g, rcond=rcond)[0],))
+        m = np.array([[1.0, 1.0], [1e-9, 1.0]])
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            optics.sinkhorn_scale(m, tol=1e-10)
+        assert err.value.residual > 1e-10
+
     def test_zero_row_rejected(self):
         m = np.ones((3, 3))
         m[0] = 0.0
         with pytest.raises(ValueError):
             optics.sinkhorn_scale(m)
+
+    def test_non_finite_rejected(self):
+        m = np.ones((3, 3))
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            optics.sinkhorn_scale(m)
+
+    @pytest.mark.parametrize(
+        "seed, ratio_sigma",
+        [(seed, 0.02) for seed in range(8)] + [(2, 0.0)],  # roster, ideal chip
+    )
+    def test_characterize_chips_within_step_budget(self, seed, ratio_sigma):
+        # nearly decomposable moduli: Sinkhorn sweeps took up to 179,700 here
+        raw, moduli = characterize_powers(seed, ratio_sigma)
+        out = optics.sinkhorn_scale(raw, tol=1e-9, max_iter=20)
+        assert np.max(np.abs(out - moduli)) < 1e-9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_scaled_unitary_moduli_property(self, seed):
+        rng = np.random.default_rng(seed)
+        m = np.abs(random_unitary(6, rng)) ** 2
+        outs = []
+        for _ in range(2):
+            gains = np.outer(rng.uniform(0.2, 3.0, 6), rng.uniform(0.2, 3.0, 6))
+            out = optics.sinkhorn_scale(m * gains, tol=1e-10)
+            assert np.max(np.abs(out.sum(axis=0) - 1.0)) < 1e-10
+            assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
+            assert np.max(np.abs(out - m)) < 1e-8
+            outs.append(out)
+        assert np.max(np.abs(outs[0] - outs[1])) < 1e-8
+
+    def test_no_positive_diagonal_rejected(self):
+        # rows 2 and 3 both live only in column 1: no scaling exists
+        m = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no doubly stochastic scaling"):
+                optics.sinkhorn_scale(m)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6))
+    def test_sparse_inputs_scaled_or_rejected(self, seed, n):
+        # random supports with gains over seven decades: each input is
+        # rejected as unscalable or scaled to tol, without a numpy warning
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        m *= np.exp(rng.uniform(-8.0, 8.0, (n, 1)) + rng.uniform(-8.0, 8.0, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = optics.sinkhorn_scale(m, tol=1e-9, max_iter=500)
+            except ValueError as exc:
+                assert not isinstance(exc, np.linalg.LinAlgError)
+                return
+        assert np.max(np.abs(out.sum(axis=0) - 1.0)) < 1e-9
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
+
+    def test_support_without_total_support(self):
+        # the zero forces the off-diagonal 1 to vanish in the limit, which no
+        # finite scaling reaches; the limit is the identity
+        m = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = optics.sinkhorn_scale(m)
+        assert np.max(np.abs(out - np.eye(2))) < 1e-9
 
 
 class TestPostSelectedTruthTable:
