@@ -12,6 +12,7 @@ I(x) = B - C cos(phi0 + alpha x^2).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,14 @@ class DacSpec:
 
     bits: int = 12
     full_scale: float = 20.0
+
+    def __post_init__(self):
+        if not isinstance(self.bits, numbers.Integral) or self.bits < 1:
+            raise ValueError(f"DAC bits must be an integer >= 1, got {self.bits!r}")
+        if not (np.isfinite(self.full_scale) and self.full_scale > 0):
+            raise ValueError(
+                f"DAC full scale must be finite and positive, got {self.full_scale!r}"
+            )
 
     @property
     def step(self) -> float:

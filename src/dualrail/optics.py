@@ -207,21 +207,34 @@ def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return float(np.max(np.abs(dev))) < tol
 
 
-def fidelity(u_e: np.ndarray, u_t: np.ndarray) -> float:
+def fidelity(u_e: np.ndarray, u_t: np.ndarray) -> float | np.ndarray:
     """Normalized trace-overlap fidelity |Tr(Ue^dag Ut)|^2 / (Tr Ue^dag Ue * Tr Ut^dag Ut).
 
     Global-phase invariant; equals 1 iff the arguments are proportional.
     Works for any equal-shape matrices (unitaries, |U|^2 matrices, process
-    matrices alike).
+    matrices alike).  Two n x n matrices give a float; two stacks of shape
+    S + (n, n) give an array of shape S, each entry equal bit for bit to the
+    fidelity of its pair.  Non-finite entries and zero matrices raise
+    ValueError.
     """
     a = np.asarray(u_e, dtype=complex)
     b = np.asarray(u_t, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    den = np.real(np.trace(a.conj().T @ a)) * np.real(np.trace(b.conj().T @ b))
-    if den <= 0.0:
+    if a.ndim < 2 or a.shape != b.shape:
+        raise ValueError(f"expected matrices of equal shape, got {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("fidelity undefined for non-finite entries")
+
+    def trace_of_product(x, y):
+        return np.trace(np.swapaxes(x.conj(), -1, -2) @ y, axis1=-2, axis2=-1)
+
+    den = np.real(trace_of_product(a, a)) * np.real(trace_of_product(b, b))
+    if np.any(den <= 0.0):
         raise ValueError("fidelity undefined for zero matrix")
-    return float(abs(np.trace(a.conj().T @ b)) ** 2 / den)
+    t = trace_of_product(a, b)
+    # |t|^2 rounded as the scalar abs(t) ** 2 rounds it (hypot, then pow);
+    # numpy's array abs and array ** 2 can differ from that in the last bit
+    fid = np.float_power(np.hypot(t.real, t.imag), 2) / den
+    return float(fid) if fid.ndim == 0 else fid
 
 
 def sinkhorn_scale(

@@ -211,19 +211,20 @@ def sample_counts(
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (4,):
         raise ValueError("expected four probabilities")
-    if np.any(p < -1e-12):
+    if not p.min() >= -1e-12:  # NaN fails this too
         raise ValueError("probabilities must be nonnegative")
-    p = np.clip(p, 0.0, None)
-    total_p = p.sum()
+    buckets = np.empty(5)
+    np.maximum(p, 0.0, out=buckets[:4])
+    total_p = buckets[:4].sum()
     if total_p > 1.0 + 1e-9:
         raise ValueError(f"probabilities sum to {total_p} > 1")
     n_events = int(round(pair_rate * exposure_time))
     if n_events <= 0:
         raise ValueError("pair_rate * exposure_time must be positive")
-    buckets = np.append(p, max(1.0 - total_p, 0.0))
+    buckets[4] = max(1.0 - total_p, 0.0)
     buckets /= buckets.sum()
     draw = rng.multinomial(n_events, buckets)
-    return CountRecord(tuple(int(c) for c in draw[:4]), pair_rate, exposure_time)
+    return CountRecord(tuple(draw[:4].tolist()), pair_rate, exposure_time)
 
 
 def hom_curve(

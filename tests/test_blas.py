@@ -109,3 +109,11 @@ def test_characterize_outputs_independent_of_thread_count(tmp_path):
         tmp_path, ["characterize", "--seed", "7", "--ratio-sigma", "0.02"])
     assert "moduli_recovered.csv" in outs["1"]
     assert outs["1"] == outs["2"]
+
+
+def test_gates_outputs_independent_of_thread_count(tmp_path):
+    # the histogram builds its gates as stacked 2x2 matrix products
+    outs = outputs_at_thread_counts(
+        tmp_path, ["gates", "--samples", "200", "--ratio-dev", "0.02", "--seed", "3"])
+    assert "gate_summary.csv" in outs["1"]
+    assert outs["1"] == outs["2"]

@@ -174,6 +174,35 @@ class TestFidelity:
         with pytest.raises(ValueError):
             optics.fidelity(np.eye(2), np.eye(3))
 
+    def test_vectors_rejected(self):
+        with pytest.raises(ValueError):
+            optics.fidelity(np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError):
+            optics.fidelity(m, np.eye(2))
+        with pytest.raises(ValueError):
+            optics.fidelity(np.eye(2), m)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 16])
+    def test_stack_equals_pairs_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((3, 40, n, n)) + 1j * rng.standard_normal((3, 40, n, n))
+        b = np.array([[random_unitary(n, rng) for _ in range(40)] for _ in range(3)])
+        stacked = optics.fidelity(a, b)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (3, 40)
+        pairs = [[optics.fidelity(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert all(type(f) is float for row in pairs for f in row)
+        assert np.array_equal(stacked, pairs)
+
+    def test_stack_with_one_zero_matrix_rejected(self):
+        stack = np.array([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+        with pytest.raises(ValueError):
+            optics.fidelity(stack, np.array([np.eye(2)] * 3))
+
 
 class TestSinkhorn:
     def test_fixed_point(self):

@@ -182,6 +182,31 @@ class TestSampling:
             sampler.sample_counts((0.5, 0.5, 0.5, 0.5), 100.0, 1.0,
                                   np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p", [(0.1, np.nan, 0.1, 0.1), (0.1, -1e-9, 0.1, 0.1)])
+    def test_invalid_probabilities_rejected(self, p):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sampler.sample_counts(p, 100.0, 1.0, np.random.default_rng(0))
+
+    def test_bucket_vector_bit_exact(self):
+        # the five multinomial weights, formed as np.append of the clipped
+        # four and the discarded remainder, then normalized; any other
+        # rounding changes every sampled count downstream
+        class Recorder:
+            def multinomial(self, n, pvals):
+                self.pvals = np.array(pvals)
+                return np.zeros(5, dtype=np.int64)
+
+        rng = np.random.default_rng(19)
+        for k in range(2000):
+            p = rng.dirichlet(np.ones(5))[:4] if k % 2 else rng.uniform(0, 0.25, 4)
+            p[rng.uniform(size=4) < 0.2] = -1e-13 if k % 3 else 0.0
+            clipped = np.clip(p, 0.0, None)
+            expected = np.append(clipped, max(1.0 - clipped.sum(), 0.0))
+            expected /= expected.sum()
+            rec = Recorder()
+            sampler.sample_counts(p, 100.0, 1.0, rec)
+            assert rec.pvals.tobytes() == expected.tobytes()
+
     def test_chi_square_goodness_of_fit(self):
         # empirical frequencies match probabilities for nearly all seeds
         p = np.array([0.05, 0.02, 0.03, 0.01])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrail import optics, sampler, tomography as tomo
 from dualrail.errors import DegenerateDataError
@@ -343,3 +344,42 @@ class TestChiFidelity:
         b = random_chi_unitary(rng)
         assert abs(tomo.chi_fidelity(a, b) - tomo.chi_fidelity(b, a)) < 1e-12
         assert abs(tomo.chi_fidelity(a, a) - 1.0) < 1e-12
+
+
+class TestProperties:
+    """Hypothesis properties of the tomography layer (derandomized)."""
+
+    SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=60)
+    seeds = st.integers(0, 2 ** 32 - 1)
+    labels = st.tuples(st.sampled_from("HVDARL"), st.sampled_from("HVDARL"),
+                       st.sampled_from("hdr"), st.sampled_from("hdr")).map("".join)
+
+    @SETTINGS
+    @given(seed=seeds)
+    def test_unitary_chi_is_physical(self, seed):
+        tomo.check_chi(random_chi_unitary(np.random.default_rng(seed)))
+
+    @SETTINGS
+    @given(seed=seeds, label=labels, outcome=st.integers(0, 3))
+    def test_predicted_probability_is_transition_probability(self, seed, label,
+                                                             outcome):
+        v = random_unitary(4, np.random.default_rng(seed))
+        prep, taus = tomo.config_states(label)
+        tau = taus[outcome]
+        p = tomo.predict_probability(tomo.chi_from_unitary(v), prep, tau)
+        assert abs(p - abs(np.vdot(tau, v @ prep)) ** 2) < 1e-12
+
+    @SETTINGS
+    @given(seed=seeds, shots=st.integers(1, 5000),
+           ratio_sigma=st.floats(0.0, 0.05),
+           picks=st.lists(st.integers(0, 63), min_size=1, max_size=64, unique=True))
+    def test_dataset_csv_round_trip(self, seed, shots, ratio_sigma, picks):
+        chip = optics.ChipParameters.ideal().perturbed(
+            ratio_sigma, np.random.default_rng(seed))
+        labels = [tomo.reference_config_labels()[i] for i in picks]
+        ds = tomo.run_qpt_simulation(chip, x=0.9, shots_per_config=shots,
+                                     seed=seed, labels=labels)
+        back = tomo.dataset_from_csv(tomo.dataset_to_csv(ds))
+        assert back.labels() == labels
+        assert [r.counts for _, r in back.records] == [r.counts for _, r in ds.records]
