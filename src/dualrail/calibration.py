@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, InfeasibleTargetError
 
@@ -24,6 +23,11 @@ from .errors import ConvergenceError, InfeasibleTargetError
 CROSSTALK_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7))
 
 TWO_PI = 2.0 * np.pi
+
+# sweep fit: golden-section ratio, and how many grid steps the alpha bracket
+# may walk past the ends of its FFT-centred grid
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_MAX_WALK = 100
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,8 @@ class CalibrationSweep:
         y = np.array(self.powers, dtype=float)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError("currents and powers must be equal-length 1-D")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("currents and powers must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("currents must be strictly increasing")
         if np.any(y < 0):
@@ -240,13 +246,22 @@ def _linear_solve_for_alpha(s, y, alpha):
 
 
 def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit:
-    """Nonlinear least squares for the fringe parameters (B, C, phi0, alpha).
+    """Least squares for the fringe parameters (B, C, phi0, alpha).
 
-    The fringe is periodic in alpha * I^2, so the fit seeds alpha from the
-    dominant FFT frequency of the power trace over the I^2 axis (after
-    resampling to a uniform grid), refines on a surrounding grid by linear
-    solves for the remaining parameters, then polishes with least_squares.
-    Flat traces return C ~ 0 with the degenerate flag set.
+    The fringe B - C cos(phi0 + alpha I^2) is linear in (B, C cos phi0,
+    C sin phi0) once alpha is fixed, so the fit minimizes the residual of
+    that linear solve over alpha alone (variable projection: Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 413 (1973)).  The fringe is periodic in
+    alpha * I^2, so alpha is seeded from the dominant FFT frequency of the
+    power trace over the I^2 axis (after resampling to a uniform grid) and
+    scanned on a surrounding grid.  Over few fringes the FFT peak can be a
+    bin off, so while the lowest grid point is an end point the scan walks
+    on outward in grid steps.  A golden-section search then refines alpha
+    between the lowest point's neighbours to 1e-12 relative.  The result is
+    canonical by construction: C >= 0, alpha > 0, phi0 in (-pi, pi].  Flat
+    traces return C ~ 0 with the degenerate flag set.  Raises
+    ConvergenceError when the walk brackets no minimum within `_MAX_WALK`
+    steps or the result is not finite.
     """
     x = sweep.currents
     y = sweep.powers
@@ -268,42 +283,49 @@ def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit
     freqs = np.fft.rfftfreq(n_grid, d=(s_grid[1] - s_grid[0]))
     alpha_fft = TWO_PI * freqs[int(np.argmax(spectrum[1:])) + 1]
 
-    candidates = []
-    for scale in np.linspace(0.5, 1.5, 21):
-        alpha = alpha_fft * scale
-        if alpha <= 0:
-            continue
-        candidates.append((_linear_solve_for_alpha(s, y, alpha)[3], alpha))
-    candidates.sort()
+    def cost(alpha):
+        return _linear_solve_for_alpha(s, y, alpha)[3]
 
-    best = None
-    for _, alpha in candidates[:3]:
-        b0, c0, p0, _ = _linear_solve_for_alpha(s, y, alpha)
-        res = least_squares(
-            lambda t: fringe_model(x, *t) - y,
-            x0=[b0, c0, p0, alpha],
-            method="lm",
-            xtol=1e-14,
-            ftol=1e-14,
-        )
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None or (not best.success and best.cost > 1e-6 * y.size):
+    grid = alpha_fft * np.linspace(0.5, 1.5, 21)
+    costs = [cost(alpha) for alpha in grid]
+    k = int(np.argmin(costs))
+    centre, f_centre = grid[k], costs[k]
+    # walk on outward while the lowest point is an end of the grid
+    step = grid[1] - grid[0]
+    direction = (k == grid.size - 1) - (k == 0)
+    for _ in range(_MAX_WALK):
+        ahead = centre + direction * step
+        f_ahead = cost(ahead) if direction and ahead > 0 else np.inf
+        if not f_ahead < f_centre:
+            break
+        centre, f_centre = ahead, f_ahead
+    else:
         raise ConvergenceError(
-            "sweep fit did not converge",
-            residual=None if best is None else float(best.cost),
+            f"sweep fit bracketed no minimum within {_MAX_WALK} grid steps",
+            residual=float(f_centre),
         )
 
-    b, c, phi0, alpha = best.x
-    # canonical form: C >= 0, alpha >= 0, phi0 in (-pi, pi]
-    if c < 0:
-        c, phi0 = -c, phi0 + np.pi
-    if alpha < 0:
-        alpha, phi0 = -alpha, -phi0
-    phi0 = _wrap_angle(phi0)
-    residual = float(2.0 * best.cost)
-    degenerate = abs(c) < degenerate_tol * max(abs(b), 1.0)
-    return SweepFit(float(b), float(c), phi0, float(alpha), residual, degenerate)
+    # golden-section search: centre lies inside and costs less than both ends
+    lo, hi = max(centre - step, 0.0), centre + step
+    a1, a2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = cost(a1), cost(a2)
+    while hi - lo > 1e-12 * hi:
+        if f1 <= f2:
+            hi, a2, f2 = a2, a1, f1
+            a1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = cost(a1)
+        else:
+            lo, a1, f1 = a1, a2, f2
+            a2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = cost(a2)
+    alpha = a1 if f1 <= f2 else a2
+
+    b, c, phi0, residual = _linear_solve_for_alpha(s, y, alpha)
+    if not np.all(np.isfinite([b, c, phi0, alpha, residual])):
+        raise ConvergenceError("sweep fit did not converge", residual=residual)
+    degenerate = c < degenerate_tol * max(abs(b), 1.0)
+    return SweepFit(float(b), c, _wrap_angle(phi0), float(alpha), residual,
+                    degenerate)
 
 
 # ---------------------------------------------------------------------------

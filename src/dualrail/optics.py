@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
 
@@ -237,6 +236,40 @@ def fidelity(u_e: np.ndarray, u_t: np.ndarray) -> float | np.ndarray:
     return float(fid) if fid.ndim == 0 else fid
 
 
+def _has_positive_diagonal(support: np.ndarray) -> bool:
+    """Whether a square boolean pattern has a positive diagonal: a
+    permutation s with support[i, s(i)] true for every row i.
+
+    Kuhn's augmenting-path algorithm (see Hopcroft & Karp, SIAM J. Comput.
+    2, 225 (1973)): each row in turn searches depth first, on an explicit
+    stack, for a path that alternates between unmatched and matched entries
+    and ends on a free column, then flips that path.
+    """
+    neighbours = [np.flatnonzero(row).tolist() for row in support]
+    owner = [-1] * len(neighbours)  # row matched to each column
+    for root in range(len(neighbours)):
+        seen = [False] * len(neighbours)
+        rows, cols = [(root, iter(neighbours[root]))], []
+        while rows:
+            j = next((j for j in rows[-1][1] if not seen[j]), None)
+            if j is None:  # dead end: back up to the row before
+                rows.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[j] = True
+            cols.append(j)
+            if owner[j] < 0:  # free column: each row on the path takes the
+                # column it reached, which frees the one it held
+                for (i, _), col in zip(rows, cols):
+                    owner[col] = i
+                break
+            rows.append((owner[j], iter(neighbours[owner[j]])))
+        else:
+            return False
+    return True
+
+
 def sinkhorn_scale(
     power_matrix: np.ndarray,
     tol: float = 1e-10,
@@ -256,7 +289,9 @@ def sinkhorn_scale(
     `max_iter` counts Newton steps.
 
     Returns P once every row and column sum is within `tol` of 1.  Raises
-    ValueError if no scaling exists (the support has no positive diagonal),
+    ValueError if no scaling exists: the support has no positive diagonal,
+    that is no perfect matching of rows to columns, which Kuhn's
+    augmenting-path search decides (`_has_positive_diagonal`),
     and ConvergenceError (with the residual) after `max_iter` Newton steps,
     or when a step can no longer decrease f.
     """
@@ -269,8 +304,7 @@ def sinkhorn_scale(
         raise ValueError("expected nonnegative entries")
     if np.any(m.sum(axis=1) <= 0) or np.any(m.sum(axis=0) <= 0):
         raise ValueError("row and column sums must be strictly positive")
-    rows, cols = linear_sum_assignment(m > 0, maximize=True)
-    if not np.all(m[rows, cols] > 0):
+    if not _has_positive_diagonal(m > 0):
         raise ValueError(
             "no doubly stochastic scaling exists: "
             "the nonzero pattern has no positive diagonal"

@@ -21,7 +21,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _blas, optics, sampler
 from .errors import DegenerateDataError
@@ -396,6 +395,14 @@ def _linear_inversion_start(u_rows, q):
     return np.linalg.cholesky(chi + 1e-10 * np.eye(16))
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use so that importing the
+    package loads no scipy.  The fit calls it through this module attribute,
+    which the benchmark's tracer wraps by name."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def mle_reconstruct(
     dataset: QptDataset,
     efficiencies=None,
@@ -420,6 +427,9 @@ def mle_reconstruct(
     q = _measured_probabilities(dataset, efficiencies)
 
     rng = np.random.default_rng(seed)
+    # load scipy's own OpenBLAS before `single_thread` lists the libraries
+    # it limits; it lists them once per process
+    import scipy.optimize  # noqa: F401
     with _blas.single_thread():
         t0 = _t_of_g(_linear_inversion_start(u_rows, q))
         starts = [t0]

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import optics, sampler, tomography
 from .errors import DegenerateDataError
@@ -273,6 +272,8 @@ def run_vqe(
         return energy
 
     if optimizer == "nelder-mead":
+        from scipy.optimize import minimize  # only this optimizer needs scipy
+
         # converged when two consecutive restarts agree to tol; the
         # stagnation flag marks a budget exhausted before that happens
         x = rng.uniform(0.0, TWO_PI, 4)

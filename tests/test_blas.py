@@ -77,12 +77,39 @@ class TestSingleThread:
             pass
 
 
-def outputs_at_thread_counts(tmp_path, argv):
-    """The --out files of `dualrail argv`, run in a subprocess that starts
-    at OPENBLAS_NUM_THREADS=1 and at =2."""
+def child_env():
+    """This environment with the package's source directory on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(dualrail.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_fit_limits_every_loaded_openblas():
+    # `_libraries()` lists the OpenBLAS builds once per process; the fit
+    # loads scipy (and scipy's own OpenBLAS) only on first use, so it must do
+    # that before its first `single_thread()` block lists them
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps on this system")
+    code = (
+        "from dualrail import _blas, tomography\n"
+        "tomography.mle_reconstruct(tomography.load_reference_counts(), n_starts=1)\n"
+        "with open('/proc/self/maps') as fh:\n"
+        "    paths = {line.split()[-1] for line in fh\n"
+        "             if 'openblas' in line.lower() and '/' in line}\n"
+        "print(len(paths), len(_blas._libraries()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                          capture_output=True, text=True, timeout=300)
+    n_paths, n_limited = map(int, proc.stdout.split())
+    assert n_paths >= 1
+    assert n_limited == n_paths
+
+
+def outputs_at_thread_counts(tmp_path, argv):
+    """The --out files of `dualrail argv`, run in a subprocess that starts
+    at OPENBLAS_NUM_THREADS=1 and at =2."""
+    env = child_env()
     code = "import sys; from dualrail import cli; sys.exit(cli.main(sys.argv[1:]))"
     outs = {}
     for threads in ("1", "2"):
@@ -116,4 +143,11 @@ def test_gates_outputs_independent_of_thread_count(tmp_path):
     outs = outputs_at_thread_counts(
         tmp_path, ["gates", "--samples", "200", "--ratio-dev", "0.02", "--seed", "3"])
     assert "gate_summary.csv" in outs["1"]
+    assert outs["1"] == outs["2"]
+
+
+def test_calibrate_outputs_independent_of_thread_count(tmp_path):
+    # the sweep fit solves a least-squares problem with LAPACK per alpha
+    outs = outputs_at_thread_counts(tmp_path, ["calibrate", "--seed", "7"])
+    assert "calibration_fits.csv" in outs["1"]
     assert outs["1"] == outs["2"]

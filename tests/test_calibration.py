@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualrail import calibration as cal
-from dualrail.errors import InfeasibleTargetError
+from dualrail.errors import ConvergenceError, InfeasibleTargetError
+
+
+def lm_fit(sweep, truth):
+    """Residual and alpha of scipy's Levenberg-Marquardt fit of the fringe
+    started at the true parameters: the oracle for `fit_sweep`."""
+    from scipy.optimize import least_squares
+    res = least_squares(lambda t: cal.fringe_model(sweep.currents, *t) - sweep.powers,
+                        x0=truth, method="lm", xtol=1e-14, ftol=1e-14)
+    return 2.0 * res.cost, abs(res.x[3])
 
 
 def wrapped_error(a, b):
@@ -271,6 +280,39 @@ class TestSweeps:
         refit = cal.fringe_model(self.currents, *fit.as_tuple())
         assert np.max(np.abs(refit - sweep.powers)) < 5 * 0.01 * 0.5
 
+    @pytest.mark.parametrize("noise", [0.0, 0.005, 0.02, 0.05])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lm_on_calibrate_sweeps(self, model, noise, seed):
+        # the eight sweeps that `calibrate --noise N --seed S` fits
+        rng = np.random.default_rng(seed)
+        for heater in range(8):
+            truth = (0.5, 0.5, model.initial_phases[heater],
+                     model.matrix[heater, heater])
+            sweep = cal.simulate_sweep(*truth, self.currents, noise_sigma=noise,
+                                       rng=rng)
+            fit = cal.fit_sweep(sweep)
+            residual, alpha = lm_fit(sweep, truth)
+            assert fit.residual <= residual + 1e-12 * max(1.0, residual)
+            assert abs(fit.alpha - alpha) <= 1e-8 * alpha
+
+    # one true alpha below the FFT-centred grid, one above it
+    @pytest.mark.parametrize("phi0, alpha", [(0.7, 0.0065), (-1.7, 0.0245)])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_few_fringes_bracket_walks_past_grid(self, monkeypatch, phi0, alpha,
+                                                 noise):
+        # over one to two fringes the FFT peak is a bin off and the lowest
+        # point of the alpha grid is one of its ends
+        truth = (0.5, 0.4, phi0, alpha)
+        sweep = cal.simulate_sweep(*truth, self.currents, noise_sigma=noise,
+                                   rng=np.random.default_rng(5))
+        fit = cal.fit_sweep(sweep)
+        residual, lm_alpha = lm_fit(sweep, truth)
+        assert fit.residual <= residual + 1e-12 * max(1.0, residual)
+        assert abs(fit.alpha - lm_alpha) <= 1e-8 * lm_alpha
+        monkeypatch.setattr(cal, "_MAX_WALK", 1)
+        with pytest.raises(ConvergenceError, match="bracketed no minimum"):
+            cal.fit_sweep(sweep)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             cal.fit_sweep(cal.CalibrationSweep(np.arange(5.0), np.ones(5)))
@@ -280,6 +322,10 @@ class TestSweeps:
             cal.CalibrationSweep(np.array([0.0, 0.0, 1.0]), np.ones(3))
         with pytest.raises(ValueError):
             cal.CalibrationSweep(np.arange(3.0), np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            cal.CalibrationSweep(np.arange(3.0), np.array([1.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            cal.CalibrationSweep(np.array([0.0, 1.0, np.inf]), np.ones(3))
 
 
 class TestReflectivityRelations:

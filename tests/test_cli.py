@@ -1,9 +1,15 @@
+import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from dualrail import cli
 from dualrail.errors import ConvergenceError
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def read_tree(root: Path) -> dict:
@@ -164,3 +170,46 @@ class TestExitCodes:
             raise ConvergenceError("stuck", residual=1.0)
         monkeypatch.setitem(cli._COMMANDS, "hom", boom)
         assert run(["hom", "--out", str(tmp_path / "o")]) == 2
+
+
+class TestImportsLoadNoScipy:
+    # scipy.optimize takes most of the package's start-up; only the qpt fit
+    # and Nelder-Mead vqe need it, and they import it on first use
+    CODE = {
+        "import_dualrail": "import dualrail",
+        "import_cli": "import dualrail.cli",
+        "bundled_data": (
+            "from dualrail import calibration, tomography, vqe\n"
+            "tomography.load_reference_counts()\n"
+            "vqe.reference_hamiltonian()\n"
+            "calibration.CrossTalkModel.reference()"
+        ),
+    }
+    COMMANDS = [
+        ["characterize", "--seed", "7"],
+        ["calibrate", "--seed", "7"],
+        ["gates", "--samples", "20"],
+        ["hom", "--x-points", "11"],
+        ["vqe", "--shots", "200", "--optimizer", "spsa"],
+    ]
+
+    @staticmethod
+    def scipy_modules_after(code, cwd):
+        """scipy modules loaded by `code` in a fresh interpreter."""
+        probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+                 " if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("name", sorted(CODE))
+    def test_import(self, tmp_path, name):
+        assert self.scipy_modules_after(self.CODE[name], tmp_path) == []
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_command(self, tmp_path, argv):
+        code = ("from dualrail import cli\n"
+                f"assert cli.main({argv + ['--out', 'out']!r}) == 0")
+        assert self.scipy_modules_after(code, tmp_path) == []

@@ -314,6 +314,18 @@ class TestSinkhorn:
         assert np.max(np.abs(out.sum(axis=0) - 1.0)) < 1e-9
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data(), n=st.integers(1, 8), density=st.floats(0.0, 1.0))
+    def test_positive_diagonal_matches_assignment_oracle(self, data, n, density):
+        # the augmenting-path matching finds a positive diagonal exactly when
+        # scipy's optimal assignment over the support reaches n entries
+        from scipy.optimize import linear_sum_assignment
+        cells = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n * n,
+                                   max_size=n * n))
+        support = np.array(cells).reshape(n, n) < density
+        rows, cols = linear_sum_assignment(support, maximize=True)
+        assert optics._has_positive_diagonal(support) == bool(np.all(support[rows, cols]))
+
     def test_support_without_total_support(self):
         # the zero forces the off-diagonal 1 to vanish in the limit, which no
         # finite scaling reaches; the limit is the identity
