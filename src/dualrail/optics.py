@@ -175,20 +175,35 @@ def _rail_stage(blocks):
     return stage
 
 
+@lru_cache(maxsize=16)
+def _stage_couplers(params: ChipParameters) -> tuple[np.ndarray, ...]:
+    """The MZI couplers of the preparation and measurement stages, each a
+    (qubit, 2, 2) stack: first and second preparation coupler, then first
+    and second measurement coupler.  Cached per parameter set like
+    `cnot_section`, so the arrays are read-only."""
+    r = params.splitting_ratios
+    couplers = tuple(dc_matrix(pair) for pair in (
+        (r[0], r[2]), (r[1], r[3]), (r[9], r[11]), (r[10], r[12])))
+    for dc in couplers:
+        dc.setflags(write=False)
+    return couplers
+
+
 def chip_unitaries(params: ChipParameters, phases) -> np.ndarray:
     """Chip unitaries U = U2 @ CNOT @ U1, shape (..., 6, 6), one for each
     row of `phases` (..., 8) in place of the tunable phases of `params`."""
     p = np.asarray(phases, dtype=float)
     if p.shape[-1:] != (8,):
         raise ValueError("expected 8 tunable phases along the last axis")
-    r = params.splitting_ratios
+    prep1, prep2, meas1, meas2 = _stage_couplers(params)
     # q[..., stage, qubit, :] holds the preparation (MZI, rail) and the
     # measurement (rail, MZI) phases.  Preparation propagates DC, MZI phase,
-    # DC, rail phase; measurement mirrors it.
+    # DC, rail phase; measurement mirrors it.  Each MZI multiplies in the
+    # order of `mzi_matrix`.
     q = p.reshape(p.shape[:-1] + (2, 2, 2))
     prep = (phase_matrix(q[..., 0, :, 1])
-            @ mzi_matrix((r[0], r[2]), (r[1], r[3]), q[..., 0, :, 0]))
-    meas = (mzi_matrix((r[9], r[11]), (r[10], r[12]), q[..., 1, :, 1])
+            @ (prep2 @ phase_matrix(q[..., 0, :, 0]) @ prep1))
+    meas = ((meas2 @ phase_matrix(q[..., 1, :, 1]) @ meas1)
             @ phase_matrix(q[..., 1, :, 0]))
     return _rail_stage(meas) @ cnot_section(params) @ _rail_stage(prep)
 

@@ -159,28 +159,48 @@ def measure_energy(
     shots_per_basis: int | None,
     rng: np.random.Generator | None = None,
 ):
-    """One energy estimate; returns (energy, hh CountRecord, dd CountRecord).
+    """Energy estimates; returns (energy, hh CountRecord, dd CountRecord).
+
+    `ansatz_phases` of shape (4,) gives one such triple; a stack (K, 4)
+    gives a list of K triples, from one forward-model call over all 2K
+    configurations.  Counts are drawn row by row, hh before dd, so a stack
+    consumes `rng` exactly as K single calls in a row would.
 
     With shots_per_basis None the exact post-selected probabilities stand in
     for counts (scaled to integers only for the returned records).
     """
-    phases = [(*ansatz_phases, *HH_MEAS_PHASES), (*ansatz_phases, *DD_MEAS_PHASES)]
-    p_hh, p_dd = sampler.coincidence_probabilities(
-        optics.chip_unitaries(chip, phases), 1.0)
-    p_hh = p_hh[list(HH_SLOTS)]
-    if shots_per_basis is None:
-        c_hh = p_hh / p_hh.sum()
-        c_dd = p_dd / p_dd.sum()
-        energy = float(h_proj.as_array() @ np.concatenate([c_hh, c_dd]))
-        rec_hh = CountRecord(tuple(np.round(c_hh * 10 ** 9).astype(int)))
-        rec_dd = CountRecord(tuple(np.round(c_dd * 10 ** 9).astype(int)))
-        return energy, rec_hh, rec_dd
-    if rng is None:
+    a = np.asarray(ansatz_phases, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != 4:
+        raise ValueError(
+            f"expected ansatz phases of shape (4,) or (K, 4), got shape {a.shape}")
+    if not np.isfinite(a).all():
+        bad = a[~np.isfinite(a)][0]
+        raise ValueError(f"ansatz phases must be finite, got {bad}")
+    if shots_per_basis is not None and rng is None:
         raise ValueError("sampled estimation needs an rng")
-    pair_rate = 9.0 * shots_per_basis
-    rec_hh = sampler.sample_counts(p_hh, pair_rate, 1.0, rng)
-    rec_dd = sampler.sample_counts(p_dd, pair_rate, 1.0, rng)
-    return expectation_from_counts(h_proj, rec_hh, rec_dd), rec_hh, rec_dd
+    stack = np.atleast_2d(a)
+    meas = np.array([HH_MEAS_PHASES, DD_MEAS_PHASES])
+    phases = np.concatenate(
+        [np.repeat(stack[:, None, :], 2, axis=1),
+         np.broadcast_to(meas, (len(stack), 2, 4))], axis=-1)
+    probs = sampler.coincidence_probabilities(
+        optics.chip_unitaries(chip, phases), 1.0)
+    results = []
+    for p_hh, p_dd in probs:
+        p_hh = p_hh[list(HH_SLOTS)]
+        if shots_per_basis is None:
+            c_hh = p_hh / p_hh.sum()
+            c_dd = p_dd / p_dd.sum()
+            energy = float(h_proj.as_array() @ np.concatenate([c_hh, c_dd]))
+            rec_hh = CountRecord(tuple(np.round(c_hh * 10 ** 9).astype(int)))
+            rec_dd = CountRecord(tuple(np.round(c_dd * 10 ** 9).astype(int)))
+        else:
+            pair_rate = 9.0 * shots_per_basis
+            rec_hh = sampler.sample_counts(p_hh, pair_rate, 1.0, rng)
+            rec_dd = sampler.sample_counts(p_dd, pair_rate, 1.0, rng)
+            energy = expectation_from_counts(h_proj, rec_hh, rec_dd)
+        results.append((energy, rec_hh, rec_dd))
+    return results[0] if a.ndim == 1 else results
 
 
 @dataclass
@@ -205,15 +225,19 @@ class VqeResult:
 
 def _spsa_minimize(objective, x0, rng, n_iterations, a0=0.6, c0=0.25,
                    alpha=0.602, gamma=0.101):
-    """Simultaneous-perturbation descent for noisy objectives."""
+    """Simultaneous-perturbation descent for noisy objectives.
+
+    `objective` takes a stack of points (2, n) and returns their two values:
+    both points of a step are known before either is measured, so they are
+    evaluated together.
+    """
     x = np.array(x0, dtype=float)
     best_x, best_f = x.copy(), np.inf
     for k in range(n_iterations):
         ak = a0 / (k + 1 + 0.1 * n_iterations) ** alpha
         ck = c0 / (k + 1) ** gamma
         delta = rng.choice([-1.0, 1.0], size=x.size)
-        f_plus = objective(x + ck * delta)
-        f_minus = objective(x - ck * delta)
+        f_plus, f_minus = objective(np.stack([x + ck * delta, x - ck * delta]))
         ghat = (f_plus - f_minus) / (2.0 * ck) * delta
         x = x - ak * ghat
         x = np.mod(x, TWO_PI)
@@ -251,10 +275,14 @@ def run_vqe(
     bound_slack = 1e-9 if shots_per_basis is None else 0.0
 
     def objective(phases):
+        # one point (4,) gives its energy, a stack (K, 4) a list of K energies
         phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
-        energy, rec_hh, rec_dd = measure_energy(
-            chip, h_proj, phases, shots_per_basis, rng
-        )
+        measured = measure_energy(chip, h_proj, phases, shots_per_basis, rng)
+        if phases.ndim == 1:
+            return record(phases, *measured)
+        return [record(row, *m) for row, m in zip(phases, measured)]
+
+    def record(phases, energy, rec_hh, rec_dd):
         state["n"] += 1
         trace.iterations.append(state["n"])
         trace.phases.append(tuple(phases))

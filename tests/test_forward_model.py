@@ -87,6 +87,69 @@ def test_chip_unitaries_rows_match_single_builds(ratios, static, seed, n):
         assert np.max(np.abs(u - literal_chip_unitary(chip, row))) < 1e-14
 
 
+def parent_chip_unitaries(params, phases):
+    """The stage products as composed before the couplers were cached:
+    every coupler rebuilt by `mzi_matrix`, multiplied in the same order."""
+    r = params.splitting_ratios
+    q = np.asarray(phases, dtype=float).reshape(np.shape(phases)[:-1] + (2, 2, 2))
+    prep = (optics.phase_matrix(q[..., 0, :, 1])
+            @ optics.mzi_matrix((r[0], r[2]), (r[1], r[3]), q[..., 0, :, 0]))
+    meas = (optics.mzi_matrix((r[9], r[11]), (r[10], r[12]), q[..., 1, :, 1])
+            @ optics.phase_matrix(q[..., 1, :, 0]))
+    return (optics._rail_stage(meas) @ optics.cnot_section(params)
+            @ optics._rail_stage(prep))
+
+
+@SETTINGS
+@given(ratios=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+       static=st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=2),
+       seed=seeds)
+def test_chip_unitaries_rows_bit_exact_across_stack_sizes(ratios, static, seed):
+    chip = optics.ChipParameters(tuple(ratios), (0.0,) * 8, tuple(static))
+    phases = np.random.default_rng(seed).uniform(-7.0, 7.0, (4, 8))
+    full = optics.chip_unitaries(chip, phases)
+    assert np.array_equal(full, parent_chip_unitaries(chip, phases))
+    # the (K, 2, 8) layout of vqe.measure_energy
+    assert np.array_equal(
+        optics.chip_unitaries(chip, phases.reshape(2, 2, 8)).reshape(4, 6, 6),
+        full)
+    for n in (1, 2):
+        for start in range(0, 4, n):
+            part = optics.chip_unitaries(chip, phases[start:start + n])
+            assert np.array_equal(part, full[start:start + n])
+    for row, u in zip(phases, full):
+        assert np.array_equal(optics.chip_unitaries(chip, row), u)
+
+
+def test_stage_couplers_cached_read_only():
+    chip = optics.ChipParameters.ideal().with_ratio(2, 0.47)
+    couplers = optics._stage_couplers(chip)
+    assert optics._stage_couplers(chip) is couplers
+    assert [dc.shape for dc in couplers] == [(2, 2, 2)] * 4
+    for dc in couplers:
+        with pytest.raises(ValueError):
+            dc[0, 0, 0] = 0.0
+
+
+@SETTINGS
+@given(seed=seeds, k=st.integers(1, 5), shots=st.sampled_from([None, 50, 2000]))
+def test_measure_energy_stack_equals_single_calls(seed, k, shots):
+    rng = np.random.default_rng(seed)
+    chip = optics.ChipParameters.ideal().perturbed(0.03, rng)
+    h_proj = vqe.pauli_to_projector(vqe.PauliHamiltonian(*rng.normal(0, 1, 5)))
+    phases = rng.uniform(0.0, 2 * np.pi, (k, 4))
+    rng_stack = np.random.default_rng(seed + 1)
+    rng_single = np.random.default_rng(seed + 1)
+    stacked = vqe.measure_energy(chip, h_proj, phases, shots, rng_stack)
+    singles = [vqe.measure_energy(chip, h_proj, row, shots, rng_single)
+               for row in phases]
+    assert len(stacked) == k
+    for (e_a, hh_a, dd_a), (e_b, hh_b, dd_b) in zip(stacked, singles):
+        assert e_a == e_b
+        assert hh_a == hh_b and dd_a == dd_b
+    assert rng_stack.bit_generator.state == rng_single.bit_generator.state
+
+
 @SETTINGS
 @given(seed=seeds)
 def test_process_apply_matches_literal_sum(seed):

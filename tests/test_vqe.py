@@ -1,7 +1,10 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
-from dualrail import optics, vqe
+from dualrail import cli, optics, vqe
 from dualrail.errors import DegenerateDataError
 from dualrail.sampler import CountRecord
 
@@ -110,6 +113,33 @@ class TestExpectationFromCounts:
             assert abs(energy - vqe.exact_expectation(h2, phases)) < 1e-9
 
 
+class TestMeasureEnergyInputs:
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 5), (1, 2, 4)])
+    def test_wrong_shape_rejected(self, h2, shape):
+        proj = vqe.pauli_to_projector(h2)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            vqe.measure_energy(optics.ChipParameters.ideal(), proj,
+                               np.zeros(shape), None)
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, h2, shots, value):
+        proj = vqe.pauli_to_projector(h2)
+        phases = np.array([[0.3, 1.1, 2.0, 4.5], [0.1, 0.2, value, 0.4]])
+        for arg in (phases[1], phases):
+            with pytest.raises(ValueError, match=str(value)):
+                vqe.measure_energy(optics.ChipParameters.ideal(), proj, arg,
+                                   shots, np.random.default_rng(0))
+
+    def test_single_point_gives_one_triple(self, h2):
+        proj = vqe.pauli_to_projector(h2)
+        chip = optics.ChipParameters.ideal()
+        single = vqe.measure_energy(chip, proj, (0.3, 1.1, 2.0, 4.5), None)
+        stacked = vqe.measure_energy(chip, proj, [(0.3, 1.1, 2.0, 4.5)], None)
+        assert isinstance(single, tuple) and len(single) == 3
+        assert isinstance(stacked, list) and stacked == [single]
+
+
 class TestRunVqe:
     def test_exact_mode_reaches_oracle(self, h2):
         chip = optics.ChipParameters.ideal()
@@ -160,6 +190,25 @@ class TestRunVqe:
         assert a.trace.energies == b.trace.energies
         assert a.best_phases == b.best_phases
 
+    def test_spsa_evaluates_each_pair_in_one_forward_model_call(
+            self, h2, monkeypatch):
+        calls = []
+        build = optics.chip_unitaries
+
+        def counted(params, phases):
+            calls.append(np.shape(phases))
+            return build(params, phases)
+
+        monkeypatch.setattr(optics, "chip_unitaries", counted)
+        res = vqe.run_vqe(optics.ChipParameters.ideal(), h2,
+                          shots_per_basis=500, optimizer="spsa", seed=4,
+                          max_evaluations=40)
+        # n_iter = 10: two SPSA runs of 10 pairs and one final point each,
+        # then the re-measurement at the best phases
+        assert len(res.trace.energies) == 43
+        assert len(calls) == 23
+        assert calls.count((2, 2, 8)) == 20
+
     def test_unknown_optimizer(self, h2):
         with pytest.raises(ValueError):
             vqe.run_vqe(optics.ChipParameters.ideal(), h2, optimizer="adam")
@@ -190,3 +239,25 @@ class TestTables:
         rows = vqe.load_projector_table(
             "0.4 1.851 0.447 0.447 -0.904 0.165 -0.165 -0.165 0.165\n")
         assert np.allclose(rows[0][1].as_array(), REFERENCE_PROJ)
+
+
+# SHA-256 of every --out file of SPSA `vqe` runs, from the commit before SPSA
+# pairs went through one forward-model call: batching must not move a byte
+GOLDEN_DIGESTS = {
+    ("--shots", "2000", "--optimizer", "spsa", "--seed", "5"): {
+        "trace_0p4A.csv": "05645236d791550518ad97f2402932bce924b03977b735be47f35660270c15ab",
+        "vqe_summary.csv": "4c88a8b6a60255f453085e848f1f2d581bda4d26dccdda2fa8bfc8bb644e25c3",
+    },
+    ("--shots", "200", "--optimizer", "spsa", "--seed", "7"): {
+        "trace_0p4A.csv": "695eaded9d62fb1215bbce8007449e6db3b201e10eb914aac9dbfa57f2630f40",
+        "vqe_summary.csv": "28e0e53546eca504d1eb72ad8f862e1b427f7df8fa3dde00605ecbd6c4edc3af",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS))
+def test_spsa_outputs_pinned(tmp_path, argv):
+    assert cli.main(["vqe", *argv, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == GOLDEN_DIGESTS[argv]
