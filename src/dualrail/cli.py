@@ -315,15 +315,20 @@ def cmd_vqe(settings) -> int:
             f"{result.oracle_energy:.8f},{gap:.2e},{result.stagnated}"
         )
         t = result.trace
+        # sampled runs record counts C1..C4, exact runs the post-selected
+        # probabilities P1..P4 of each basis
+        record = "P" if shots is None else "C"
+        columns = [f"{record}{j}_{basis}" for basis in ("hh", "dd")
+                   for j in range(1, 5)]
         body = ["iteration,phi1,phi2,phi3,phi4,energy,best_energy,"
-                "C1_hh,C2_hh,C3_hh,C4_hh,C1_dd,C2_dd,C3_dd,C4_dd,out_of_bounds"]
+                + ",".join(columns) + ",out_of_bounds"]
         for i in range(len(t.iterations)):
             row = [str(t.iterations[i])]
             row.extend(f"{p:.12g}" for p in t.phases[i])
             row.append(f"{t.energies[i]:.10f}")
             row.append(f"{t.best_energies[i]:.10f}")
-            row.extend(str(c) for c in t.counts_hh[i])
-            row.extend(str(c) for c in t.counts_dd[i])
+            row.extend(f"{c:.12g}" if shots is None else str(c)
+                       for c in t.records_hh[i] + t.records_dd[i])
             row.append(str(t.out_of_bounds[i]))
             body.append(",".join(row))
         tag = f"{distance:g}".replace(".", "p")

@@ -159,15 +159,15 @@ def measure_energy(
     shots_per_basis: int | None,
     rng: np.random.Generator | None = None,
 ):
-    """Energy estimates; returns (energy, hh CountRecord, dd CountRecord).
+    """Energy estimates; returns (energy, hh record, dd record).
 
-    `ansatz_phases` of shape (4,) gives one such triple; a stack (K, 4)
-    gives a list of K triples, from one forward-model call over all 2K
-    configurations.  Counts are drawn row by row, hh before dd, so a stack
-    consumes `rng` exactly as K single calls in a row would.
-
-    With shots_per_basis None the exact post-selected probabilities stand in
-    for counts (scaled to integers only for the returned records).
+    The records are the sampled CountRecords, or with shots_per_basis None
+    the exact post-selected probabilities, a tuple of four floats per basis
+    in the order of the counts.  `ansatz_phases` of shape (4,) gives one
+    such triple; a stack (K, 4) gives a list of K triples, from one
+    forward-model call over all 2K configurations.  Counts are drawn row by
+    row, hh before dd, so a stack consumes `rng` exactly as K single calls
+    in a row would.
     """
     a = np.asarray(ansatz_phases, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != 4:
@@ -189,11 +189,13 @@ def measure_energy(
     for p_hh, p_dd in probs:
         p_hh = p_hh[list(HH_SLOTS)]
         if shots_per_basis is None:
-            c_hh = p_hh / p_hh.sum()
-            c_dd = p_dd / p_dd.sum()
+            total_hh, total_dd = p_hh.sum(), p_dd.sum()
+            if not (total_hh > 0.0 and total_dd > 0.0):
+                raise DegenerateDataError(
+                    "no post-selected coincidences in a measurement basis")
+            c_hh, c_dd = p_hh / total_hh, p_dd / total_dd
             energy = float(h_proj.as_array() @ np.concatenate([c_hh, c_dd]))
-            rec_hh = CountRecord(tuple(np.round(c_hh * 10 ** 9).astype(int)))
-            rec_dd = CountRecord(tuple(np.round(c_dd * 10 ** 9).astype(int)))
+            rec_hh, rec_dd = tuple(c_hh.tolist()), tuple(c_dd.tolist())
         else:
             pair_rate = 9.0 * shots_per_basis
             rec_hh = sampler.sample_counts(p_hh, pair_rate, 1.0, rng)
@@ -209,8 +211,10 @@ class VqeTrace:
     phases: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     best_energies: list = field(default_factory=list)
-    counts_hh: list = field(default_factory=list)
-    counts_dd: list = field(default_factory=list)
+    # per evaluation, the four counts C1..C4 of each basis, or in exact mode
+    # the four post-selected probabilities P1..P4
+    records_hh: list = field(default_factory=list)
+    records_dd: list = field(default_factory=list)
     out_of_bounds: list = field(default_factory=list)
 
 
@@ -272,7 +276,8 @@ def run_vqe(
     rng = np.random.default_rng(seed)
     trace = VqeTrace()
     state = {"best": (np.inf, None), "n": 0}
-    bound_slack = 1e-9 if shots_per_basis is None else 0.0
+    exact = shots_per_basis is None
+    bound_slack = 1e-9 if exact else 0.0
 
     def objective(phases):
         # one point (4,) gives its energy, a stack (K, 4) a list of K energies
@@ -290,8 +295,8 @@ def run_vqe(
         running = min(energy, trace.best_energies[-1]) if trace.best_energies \
             else energy
         trace.best_energies.append(running)
-        trace.counts_hh.append(rec_hh.counts)
-        trace.counts_dd.append(rec_dd.counts)
+        trace.records_hh.append(rec_hh if exact else rec_hh.counts)
+        trace.records_dd.append(rec_dd if exact else rec_dd.counts)
         trace.out_of_bounds.append(
             not bounds[0] - bound_slack <= energy <= bounds[1] + bound_slack
         )

@@ -140,6 +140,36 @@ class TestMeasureEnergyInputs:
         assert isinstance(stacked, list) and stacked == [single]
 
 
+class TestExactRecords:
+    def test_records_are_post_selected_probabilities(self, h2):
+        proj = vqe.pauli_to_projector(h2)
+        energy, p_hh, p_dd = vqe.measure_energy(
+            optics.ChipParameters.ideal(), proj, (0.3, 1.1, 2.0, 4.5), None)
+        for probs in (p_hh, p_dd):
+            assert len(probs) == 4 and all(type(p) is float for p in probs)
+            assert min(probs) >= 0.0 and abs(sum(probs) - 1.0) < 1e-12
+        assert energy == float(proj.as_array() @ np.array(p_hh + p_dd))
+
+    def test_no_coincidences_rejected(self, h2, monkeypatch):
+        monkeypatch.setattr(vqe.sampler, "coincidence_probabilities",
+                            lambda u, x: np.zeros(u.shape[:-2] + (4,)))
+        with pytest.raises(DegenerateDataError):
+            vqe.measure_energy(optics.ChipParameters.ideal(),
+                               vqe.pauli_to_projector(h2), np.zeros(4), None)
+
+    def test_cli_trace_columns(self, tmp_path):
+        assert cli.main(["vqe", "--exact", "--out", str(tmp_path)]) == 0
+        lines = [ln for ln in (tmp_path / "trace_0p4A.csv").read_text()
+                 .splitlines() if not ln.startswith("#")]
+        header = lines[0].split(",")
+        assert header[7:15] == [f"P{j}_{b}" for b in ("hh", "dd")
+                                for j in range(1, 5)]
+        for line in lines[1:]:
+            probs = np.array(line.split(",")[7:15], dtype=float)
+            assert np.allclose(probs.reshape(2, 4).sum(axis=1), 1.0,
+                               rtol=0.0, atol=1e-10)
+
+
 class TestRunVqe:
     def test_exact_mode_reaches_oracle(self, h2):
         chip = optics.ChipParameters.ideal()
