@@ -198,8 +198,8 @@ def chip_unitaries(params: ChipParameters, phases) -> np.ndarray:
     prep1, prep2, meas1, meas2 = _stage_couplers(params)
     # q[..., stage, qubit, :] holds the preparation (MZI, rail) and the
     # measurement (rail, MZI) phases.  Preparation propagates DC, MZI phase,
-    # DC, rail phase; measurement mirrors it.  Each MZI multiplies in the
-    # order of `mzi_matrix`.
+    # DC, rail phase; measurement mirrors it.  Each MZI keeps the product
+    # order of `mzi_matrix`, which fixes how the result rounds.
     q = p.reshape(p.shape[:-1] + (2, 2, 2))
     prep = (phase_matrix(q[..., 0, :, 1])
             @ (prep2 @ phase_matrix(q[..., 0, :, 0]) @ prep1))

@@ -87,9 +87,9 @@ def test_chip_unitaries_rows_match_single_builds(ratios, static, seed, n):
         assert np.max(np.abs(u - literal_chip_unitary(chip, row))) < 1e-14
 
 
-def parent_chip_unitaries(params, phases):
-    """The stage products as composed before the couplers were cached:
-    every coupler rebuilt by `mzi_matrix`, multiplied in the same order."""
+def uncached_chip_unitaries(params, phases):
+    """Uncached reference: every stage coupler rebuilt by `mzi_matrix`,
+    multiplied in the order `optics.chip_unitaries` must keep."""
     r = params.splitting_ratios
     q = np.asarray(phases, dtype=float).reshape(np.shape(phases)[:-1] + (2, 2, 2))
     prep = (optics.phase_matrix(q[..., 0, :, 1])
@@ -108,7 +108,7 @@ def test_chip_unitaries_rows_bit_exact_across_stack_sizes(ratios, static, seed):
     chip = optics.ChipParameters(tuple(ratios), (0.0,) * 8, tuple(static))
     phases = np.random.default_rng(seed).uniform(-7.0, 7.0, (4, 8))
     full = optics.chip_unitaries(chip, phases)
-    assert np.array_equal(full, parent_chip_unitaries(chip, phases))
+    assert np.array_equal(full, uncached_chip_unitaries(chip, phases))
     # the (K, 2, 8) layout of vqe.measure_energy
     assert np.array_equal(
         optics.chip_unitaries(chip, phases.reshape(2, 2, 8)).reshape(4, 6, 6),
