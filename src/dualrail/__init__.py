@@ -37,7 +37,6 @@ from .calibration import (
 from .tomography import (
     QptDataset,
     chi_fidelity,
-    chi_parametrize,
     estimate_efficiencies,
     ideal_cnot_chi,
     mle_reconstruct,
@@ -66,7 +65,7 @@ __all__ = [
     "CalibrationSweep", "CrossTalkModel", "CurrentVector", "DacSpec",
     "apply_crosstalk", "fit_sweep", "quantize", "reflectivities_from_bc",
     "simulate_sweep", "solve_currents",
-    "QptDataset", "chi_fidelity", "chi_parametrize", "estimate_efficiencies",
+    "QptDataset", "chi_fidelity", "estimate_efficiencies",
     "ideal_cnot_chi", "mle_reconstruct", "predict_probability",
     "process_apply", "run_qpt_simulation",
     "GateModel", "fidelity_histogram", "realizable_gate",

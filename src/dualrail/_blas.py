@@ -1,10 +1,11 @@
 """Scoped one-thread limit for the OpenBLAS builds that numpy and scipy load.
 
-The tomography fit is a long chain of 16x16 complex products and L-BFGS-B
-steps.  On a few cores, OpenBLAS's thread hand-off costs far more than such
-small products, and the fit runs about 25 times faster on one thread.  The
-limit holds only inside `single_thread()`; the caller's counts come back on
-exit.  Where no OpenBLAS is loaded (another OS, MKL) it does nothing.
+The tomography fit's Newton steps (256x256 products, a 257x257 solve) round
+differently on two threads: on 2 vCPUs, `OPENBLAS_NUM_THREADS=2` changed the
+fitted chi's bits on all three datasets tried, and was no faster.  So the fit
+runs on one thread, whatever the caller's setting.  The limit holds only
+inside `single_thread()`; the caller's counts come back on exit.  Where no
+OpenBLAS is loaded (another OS, MKL) it does nothing.
 """
 
 from __future__ import annotations

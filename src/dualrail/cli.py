@@ -48,7 +48,7 @@ _DEFAULTS = {
     "exact": False,
     "x_points": 51,
     "units": "mA",
-    "starts": 4,
+    "starts": 4,   # ignored by the fit; kept because every setting is hashed
 }
 
 _CASTS = {
@@ -235,8 +235,7 @@ def cmd_qpt(settings) -> int:
             dataset = tomography.load_reference_counts()
             source = "bundled reference counts"
 
-    result = tomography.mle_reconstruct(
-        dataset, n_starts=settings["starts"], seed=settings["seed"])
+    result = tomography.mle_reconstruct(dataset)
     fid = tomography.chi_fidelity(result.chi, tomography.ideal_cnot_chi())
 
     run.write("dataset.csv", tomography.dataset_to_csv(dataset))
@@ -249,7 +248,9 @@ def cmd_qpt(settings) -> int:
         f"source = {source}\n"
         f"fidelity_vs_ideal_cnot = {fid:.6f}\n"
         f"final_cost = {result.cost:.6e}\n"
-        f"converged = {result.converged}\n",
+        f"converged = {result.converged}\n"
+        f"newton_steps = {result.n_iterations}\n"
+        f"optimality_gap = {result.gap:.1e}\n",
     )
     print(f"qpt: reconstructed chi fidelity vs ideal CNOT = {fid:.4f}")
     if not result.converged:
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=float)
     p.add_argument("--phase-bias", dest="phase_bias", type=float)
     p.add_argument("--ratio-sigma", dest="ratio_sigma", type=float)
-    p.add_argument("--starts", type=int, help="tomography fit restarts")
+    p.add_argument("--starts", type=int, help="ignored (the fit has no restarts)")
 
     p = sub.add_parser("gates", help="single-qubit gate fidelity histograms")
     common(p)

@@ -44,8 +44,6 @@ CNOT = np.array([[1, 0, 0, 0],
                  [0, 0, 0, 1],
                  [0, 0, 1, 0]], dtype=complex)
 
-_TRIL = np.tril_indices(16, -1)
-
 
 def chi_from_unitary(V: np.ndarray) -> np.ndarray:
     """Rank-1 process matrix of rho -> V rho V^dag in the Pauli basis."""
@@ -75,42 +73,6 @@ def predict_probability(chi: np.ndarray, prep_state, proj_state) -> float:
     u = _transfer_rows(np.array([prep_state], complex),
                        np.array([proj_state], complex))[0]
     return float(np.real(np.vdot(u, np.asarray(chi, complex) @ u)))
-
-
-def chi_parametrize(t: np.ndarray) -> np.ndarray:
-    """chi(t) = g g^dag / Tr[g g^dag] with lower-triangular g.
-
-    t packs 16 real diagonal entries, then the real and imaginary parts of
-    the 120 strictly-lower entries (256 parameters total).
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (256,):
-        raise ValueError("expected 256 real parameters")
-    if not np.any(t):
-        raise ValueError("all-zero parameter vector")
-    g = _g_of_t(t)
-    G = g @ g.conj().T
-    return G / np.real(np.trace(G))
-
-
-def params_from_chi(chi: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
-    """Inverse of chi_parametrize via Cholesky (up to trace normalization)."""
-    chi = np.asarray(chi, dtype=complex)
-    g = np.linalg.cholesky(chi + jitter * np.eye(16))
-    return _t_of_g(g)
-
-
-def _g_of_t(t):
-    g = np.zeros((16, 16), dtype=complex)
-    g[np.diag_indices(16)] = t[:16]
-    g[_TRIL] = t[16:136] + 1j * t[136:256]
-    return g
-
-
-def _t_of_g(g):
-    return np.concatenate([
-        np.real(np.diag(g)), np.real(g[_TRIL]), np.imag(g[_TRIL]),
-    ])
 
 
 def chi_fidelity(chi_e: np.ndarray, chi_t: np.ndarray) -> float:
@@ -320,6 +282,19 @@ def efficiency_routing_phases() -> list[tuple[float, ...]]:
 
 # ---------------------------------------------------------------------------
 # maximum-likelihood (least-squares) reconstruction
+#
+# The fit works on the 256 real coordinates of a Hermitian chi: its
+# diagonal, then sqrt(2) times the real and the imaginary parts of its
+# strict upper triangle.  They are the coordinates in an orthonormal basis
+# of the Hermitian matrices, so a dot product of coordinates is Re Tr(A B).
+
+_UPPER = np.triu_indices(16, 1)
+_GAP_TOL = 1e-10      # converged: the cost is at most this above the optimum
+_MU = 30.0            # factor on the barrier weight t once centered
+_CENTERED = 1e-6      # half the squared Newton decrement that counts as centered
+_MAX_STEPS = 500
+_MAX_HALVINGS = 60
+_ARMIJO = 0.25
 
 
 @dataclass(frozen=True)
@@ -327,8 +302,9 @@ class MleResult:
     chi: np.ndarray
     cost: float
     residuals: np.ndarray
-    converged: bool
-    n_iterations: int
+    converged: bool       # gap <= _GAP_TOL
+    n_iterations: int     # Newton steps
+    gap: float            # Frank-Wolfe gap: bounds cost - optimal cost
 
 
 def _design_rows(labels) -> np.ndarray:
@@ -357,67 +333,107 @@ def _predicted(u_rows, chi):
     return np.real(np.sum((u_rows.conj() @ chi) * u_rows, axis=1))
 
 
-def _cost_and_grad(t, u_rows, q, scale_weight=1.0):
-    g = _g_of_t(t)
-    G = g @ g.conj().T
-    s = np.real(np.trace(G))
-    p = _predicted(u_rows, G) / s
-    r = p - q
-    # the (Tr G - 1)^2 term pins the scale freedom of g; chi is unaffected
-    cost = float(r @ r + scale_weight * (s - 1.0) ** 2)
-    # dP_j/dG = u_j u_j^dag (as the Hermitian gradient matrix)
-    h_g = (2.0 / s) * ((u_rows.T * r) @ u_rows.conj()
-                       - np.sum(r * p) * np.eye(16))
-    m = (h_g + 2.0 * scale_weight * (s - 1.0) * np.eye(16)) @ g
-    grad = np.concatenate([
-        2.0 * np.real(np.diag(m)), 2.0 * np.real(m[_TRIL]), 2.0 * np.imag(m[_TRIL]),
-    ])
-    return cost, grad
+def _coords(m):
+    """Coordinates (..., 256) of Hermitian matrices (..., 16, 16)."""
+    upper = np.sqrt(2.0) * m[..., _UPPER[0], _UPPER[1]]
+    return np.concatenate([np.real(np.diagonal(m, axis1=-2, axis2=-1)),
+                           np.real(upper), np.imag(upper)], axis=-1)
+
+
+def _hermitian(x):
+    """The Hermitian matrix with coordinates x."""
+    m = np.zeros((16, 16), dtype=complex)
+    m[_UPPER] = (x[16:136] + 1j * x[136:]) / np.sqrt(2.0)
+    m = m + m.conj().T
+    m[np.diag_indices(16)] = x[:16]
+    return m
+
+
+_EYE = _coords(np.eye(16))
+
+
+def _design(u_rows):
+    """Rows d_j with d_j . coords(chi) = u_j^dag chi u_j."""
+    return _coords(u_rows[:, :, None] * u_rows.conj()[:, None, :])
 
 
 def _linear_inversion_start(u_rows, q):
-    """Least-squares Hermitian solution projected onto PSD, trace one."""
-    n = u_rows.shape[0]
-    outer = u_rows.conj()[:, :, None] * u_rows[:, None, :]
-    design = np.zeros((n, 256))
-    design[:, :16] = np.real(outer[:, np.arange(16), np.arange(16)])
-    design[:, 16:136] = 2.0 * np.real(outer[:, _TRIL[0], _TRIL[1]])
-    design[:, 136:] = -2.0 * np.imag(outer[:, _TRIL[0], _TRIL[1]])
-    sol, *_ = np.linalg.lstsq(design, q, rcond=None)
-    chi = np.zeros((16, 16), dtype=complex)
-    chi[np.diag_indices(16)] = sol[:16]
-    chi[_TRIL] = sol[16:136] + 1j * sol[136:]
-    chi = chi + np.tril(chi, -1).conj().T
-    vals, vecs = np.linalg.eigh(chi)
-    vals = np.clip(vals, 1e-6, None)
-    chi = (vecs * vals) @ vecs.conj().T
-    chi /= np.real(np.trace(chi))
-    return np.linalg.cholesky(chi + 1e-10 * np.eye(16))
+    """Least-squares Hermitian solution, projected onto PSD with unit trace
+    and mixed 1% with I/16 so that it lies inside the cone."""
+    sol, *_ = np.linalg.lstsq(_design(u_rows), q, rcond=None)
+    vals, vecs = np.linalg.eigh(_hermitian(sol))
+    chi = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return 0.99 * chi / np.real(np.trace(chi)) + 0.01 * np.eye(16) / 16.0
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use so that importing the
-    package loads no scipy.  The fit calls it through this module attribute,
-    which the benchmark's tracer wraps by name."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+def _newton_direction(hess, trace_row, grad_f, t):
+    """Newton step dy of t f - log det at Y = 0, and its squared decrement."""
+    kkt = np.block([[t * hess + np.eye(256), trace_row[:, None]],
+                    [trace_row[None, :], np.zeros((1, 1))]])
+    g = t * grad_f - _EYE
+    dy = np.linalg.solve(kkt, np.append(-g, 0.0))[:256]
+    return dy, -(g @ dy)
 
 
-def mle_reconstruct(
-    dataset: QptDataset,
-    efficiencies=None,
-    n_starts: int = 4,
-    seed: int = 0,
-    gtol: float = 1e-8,
-    max_iter: int = 10000,
-) -> MleResult:
-    """Least-squares chi-matrix reconstruction over the 256-parameter cone.
+def minimize(u_rows, q):
+    """Minimize f(chi) = sum_j (u_j^dag chi u_j - q_j)^2 over chi >= 0, Tr chi = 1.
+
+    Log-barrier Newton steps on t f(chi) - log det chi, with Tr chi = 1 as a
+    KKT row (Boyd & Vandenberghe, *Convex Optimization*, ch. 11); t grows by
+    `_MU` once chi is centered.  A step works in the frame L (I + Y) L^H of
+    chi = L L^H, where the barrier's Hessian is the identity.  The solve
+    stops when the Frank-Wolfe gap <G, chi> - lambda_min(G), G = grad f, is
+    <= `_GAP_TOL`; it bounds f(chi) - min f.  Returns (chi, Newton steps, gap).
+    """
+    chi = _linear_inversion_start(u_rows, q)
+    t = None
+    steps = 0
+    while True:
+        p = _predicted(u_rows, chi)
+        r = p - q
+        grad = 2.0 * (u_rows.T * r) @ u_rows.conj()
+        gap = float(2.0 * (r @ p) - np.linalg.eigvalsh(grad)[0])
+        if gap <= _GAP_TOL or steps == _MAX_STEPS:
+            break
+        if t is None:
+            t = 16.0 / gap   # the barrier's own duality gap is 16 / t
+        chol = np.linalg.cholesky(chi)
+        design = _design(u_rows @ chol.conj())   # rows L^H u_j
+        hess = 2.0 * design.T @ design
+        grad_f = 2.0 * design.T @ r
+        trace_row = _coords(chol.conj().T @ chol)   # Tr(L Y L^H) = 0
+        dy, lam2 = _newton_direction(hess, trace_row, grad_f, t)
+        if lam2 <= 2.0 * _CENTERED:
+            t *= _MU
+            dy, lam2 = _newton_direction(hess, trace_row, grad_f, t)
+        # backtrack on the closed-form change of t f - log det along s Y
+        step_y = _hermitian(dy)
+        eigs = np.linalg.eigvalsh(step_y)
+        dp = design @ dy
+        slope, curve = 2.0 * (r @ dp), dp @ dp
+        s = 1.0
+        for _ in range(_MAX_HALVINGS):
+            if np.all(1.0 + s * eigs > 0.0) and \
+                    t * s * (slope + s * curve) - np.sum(np.log1p(s * eigs)) \
+                    <= -_ARMIJO * s * lam2:
+                break
+            s *= 0.5
+        else:
+            break
+        step = chol @ step_y @ chol.conj().T
+        chi = chi + (0.5 * s) * (step + step.conj().T)
+        steps += 1
+    return chi, steps, gap
+
+
+def mle_reconstruct(dataset: QptDataset, efficiencies=None) -> MleResult:
+    """Least-squares chi-matrix reconstruction over {chi >= 0, Tr chi = 1}.
 
     Counts are multiplied by the detection efficiencies, normalized per
     configuration, and fit by minimizing sum (P_theory - P_experiment)^2
-    with L-BFGS from a linear-inversion start plus perturbed restarts.  The
-    fit runs OpenBLAS on one thread (see `_blas`) and restores the caller's
-    thread count afterwards.
+    with one certified convex solve, `minimize`, called through the module
+    attribute that the benchmark's tracer wraps by name.  The solve runs
+    OpenBLAS on one thread (see `_blas`) and restores the caller's count.
     """
     if len(dataset) < 64:
         raise ValueError(
@@ -425,34 +441,10 @@ def mle_reconstruct(
         )
     u_rows = _design_rows(dataset.labels())
     q = _measured_probabilities(dataset, efficiencies)
-
-    rng = np.random.default_rng(seed)
-    # load scipy's own OpenBLAS before `single_thread` lists the libraries
-    # it limits; it lists them once per process
-    import scipy.optimize  # noqa: F401
     with _blas.single_thread():
-        t0 = _t_of_g(_linear_inversion_start(u_rows, q))
-        starts = [t0]
-        for _ in range(max(n_starts, 1) - 1):
-            starts.append(t0 + 0.05 * rng.standard_normal(256))
-
-        best = None
-        for start in starts:
-            res = minimize(
-                _cost_and_grad, start, args=(u_rows, q), jac=True,
-                method="L-BFGS-B", options={"maxiter": max_iter, "gtol": gtol},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-
-    g = _g_of_t(best.x)
-    G = g @ g.conj().T
-    chi = G / np.real(np.trace(G))
-    p = _predicted(u_rows, chi)
-    residuals = (p - q).reshape(-1, 4)
-    cost = float(np.sum((p - q) ** 2))
-    converged = bool(best.success) or cost < 1e-12
-    return MleResult(chi, cost, residuals, converged, int(best.nit))
+        chi, steps, gap = minimize(u_rows, q)
+        r = _predicted(u_rows, chi) - q
+    return MleResult(chi, float(r @ r), r.reshape(-1, 4), gap <= _GAP_TOL, steps, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,14 @@ def child_env():
 
 
 def test_fit_limits_every_loaded_openblas():
-    # `_libraries()` lists the OpenBLAS builds once per process; the fit
-    # loads scipy (and scipy's own OpenBLAS) only on first use, so it must do
-    # that before its first `single_thread()` block lists them
+    # `_libraries()` lists the OpenBLAS builds once per process, at the first
+    # `single_thread()` block; after a fit, every OpenBLAS loaded in the
+    # process must be one that the fit limited
     if not Path("/proc/self/maps").is_file():
         pytest.skip("no /proc/self/maps on this system")
     code = (
         "from dualrail import _blas, tomography\n"
-        "tomography.mle_reconstruct(tomography.load_reference_counts(), n_starts=1)\n"
+        "tomography.mle_reconstruct(tomography.load_reference_counts())\n"
         "with open('/proc/self/maps') as fh:\n"
         "    paths = {line.split()[-1] for line in fh\n"
         "             if 'openblas' in line.lower() and '/' in line}\n"

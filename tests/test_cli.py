@@ -125,6 +125,18 @@ class TestDeterminism:
         for name in tree_a:
             assert tree_a[name] == tree_b[name], name
 
+    def test_starts_is_ignored(self, tmp_path):
+        # --starts parses but does not change the fit; it enters only the
+        # settings hash in the header
+        trees = []
+        for starts in ("1", "4"):
+            out = tmp_path / starts
+            assert run(["qpt", "--simulate", "--seed", "3", "--starts", starts,
+                        "--out", str(out)]) == 0
+            trees.append({name: body.split(b"\n", 3)[3]
+                          for name, body in read_tree(out).items()})
+        assert trees[0] == trees[1]
+
     def test_seed_changes_output(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -173,8 +185,8 @@ class TestExitCodes:
 
 
 class TestImportsLoadNoScipy:
-    # scipy.optimize takes most of the package's start-up; only the qpt fit
-    # and Nelder-Mead vqe need it, and they import it on first use
+    # scipy.optimize takes most of the package's start-up; only Nelder-Mead
+    # vqe needs it, and it imports it on first use
     CODE = {
         "import_dualrail": "import dualrail",
         "import_cli": "import dualrail.cli",
@@ -191,6 +203,7 @@ class TestImportsLoadNoScipy:
         ["gates", "--samples", "20"],
         ["hom", "--x-points", "11"],
         ["vqe", "--shots", "200", "--optimizer", "spsa"],
+        ["qpt", "--simulate", "--shots", "150", "--starts", "1"],
     ]
 
     @staticmethod
