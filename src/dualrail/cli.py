@@ -41,7 +41,7 @@ _DEFAULTS = {
     "noise": 0.01,
     "samples": 100,
     "ratio_dev": 0.0,
-    "optimizer": "nelder-mead",
+    "optimizer": "nelder-mead",   # ignored: the vqe mode picks the optimizer
     "hamiltonian": None,
     "ingest": None,
     "simulate": False,
@@ -306,10 +306,8 @@ def cmd_vqe(settings) -> int:
     shots = None if settings["exact"] else settings["shots"]
     summary = ["distance_angstrom,E_vqe,E_oracle,gap,stagnated"]
     for distance, h in rows:
-        result = vqe.run_vqe(
-            chip, h, shots_per_basis=shots,
-            optimizer=settings["optimizer"], seed=settings["seed"],
-        )
+        result = vqe.run_vqe(chip, h, shots_per_basis=shots,
+                             seed=settings["seed"])
         gap = result.best_energy - result.oracle_energy
         summary.append(
             f"{distance:.6g},{result.best_energy:.8f},"
@@ -392,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", help="(distance f0..f4) table")
     p.add_argument("--shots", type=int)
     p.add_argument("--exact", action="store_true", default=None)
-    p.add_argument("--optimizer", choices=("nelder-mead", "spsa"))
+    p.add_argument("--optimizer", choices=("nelder-mead", "spsa"),
+                   help="ignored (--exact runs Nelder-Mead, --shots runs SPSA)")
 
     return parser
 

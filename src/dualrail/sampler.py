@@ -174,11 +174,9 @@ def coincidence_probabilities(U: np.ndarray, x: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Two-fold coincidence counts with their exposure metadata."""
+    """Two-fold coincidence counts C1..C4."""
 
     counts: tuple[int, int, int, int]
-    pair_rate: float = 1.0
-    exposure_time: float = 1.0
 
     def __post_init__(self):
         c = tuple(int(x) for x in self.counts)
@@ -196,35 +194,34 @@ class CountRecord:
         return np.array(self.counts, dtype=float) / self.total
 
 
-def sample_counts(
-    probabilities,
-    pair_rate: float,
-    exposure_time: float,
-    rng: np.random.Generator,
-) -> CountRecord:
-    """Multinomial coincidence counts with mean <C_j> = rate * T * P_j.
+def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
+    """Multinomial coincidence counts with mean <C_j> = n_events * P_j.
 
-    The total event number rate*T is split between the four coincidence
-    outcomes and an implicit discarded bucket of probability 1 - sum(P),
-    mirroring post-selection.
+    The n_events pairs are split between the four coincidence outcomes and
+    an implicit discarded bucket of probability 1 - sum(P), mirroring
+    post-selection.  A row P of shape (4,) gives one CountRecord; a stack
+    (K, 4) gives a list of K records from one multinomial draw, which
+    consumes `rng` exactly as K single calls in row order would.
     """
     p = np.asarray(probabilities, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("expected four probabilities")
+    if p.ndim not in (1, 2) or p.shape[-1] != 4:
+        raise ValueError(
+            f"expected probabilities of shape (4,) or (K, 4), got shape {p.shape}")
     if not p.min() >= -1e-12:  # NaN fails this too
         raise ValueError("probabilities must be nonnegative")
-    buckets = np.empty(5)
-    np.maximum(p, 0.0, out=buckets[:4])
-    total_p = buckets[:4].sum()
-    if total_p > 1.0 + 1e-9:
-        raise ValueError(f"probabilities sum to {total_p} > 1")
-    n_events = int(round(pair_rate * exposure_time))
-    if n_events <= 0:
-        raise ValueError("pair_rate * exposure_time must be positive")
-    buckets[4] = max(1.0 - total_p, 0.0)
-    buckets /= buckets.sum()
-    draw = rng.multinomial(n_events, buckets)
-    return CountRecord(tuple(draw[:4].tolist()), pair_rate, exposure_time)
+    buckets = np.empty(p.shape[:-1] + (5,))
+    np.maximum(p, 0.0, out=buckets[..., :4])
+    total_p = buckets[..., :4].sum(axis=-1)
+    if total_p.max() > 1.0 + 1e-9:
+        raise ValueError(f"probabilities sum to {total_p.max()} > 1")
+    if n_events != int(n_events) or n_events <= 0:
+        raise ValueError(f"n_events must be a positive integer, got {n_events}")
+    buckets[..., 4] = np.maximum(1.0 - total_p, 0.0)
+    buckets /= buckets.sum(axis=-1, keepdims=True)
+    draws = rng.multinomial(int(n_events), buckets)[..., :4].tolist()
+    if p.ndim == 1:
+        return CountRecord(tuple(draws))
+    return [CountRecord(tuple(row)) for row in draws]
 
 
 def hom_curve(

@@ -488,10 +488,9 @@ def run_qpt_simulation(
     phases = [config_phase_settings(label, phase_bias) for label in labels]
     probs = sampler.coincidence_probabilities(
         optics.chip_unitaries(chip, np.reshape(phases, (-1, 8))), x) * eta
-    rng = np.random.default_rng(seed)
-    pair_rate = 9.0 * shots_per_config
-    return QptDataset(tuple((label, sampler.sample_counts(p, pair_rate, 1.0, rng))
-                            for label, p in zip(labels, probs)))
+    records = sampler.sample_counts(probs, 9 * shots_per_config,
+                                    np.random.default_rng(seed))
+    return QptDataset(tuple(zip(labels, records)))
 
 
 def simulate_dataset_from_chi(
@@ -503,12 +502,11 @@ def simulate_dataset_from_chi(
     """Sample a dataset directly from a process matrix (no chip model)."""
     labels = reference_config_labels() if labels is None else list(labels)
     probs = _predicted(_design_rows(labels), np.asarray(chi, dtype=complex))
-    rng = np.random.default_rng(seed)
-    records = []
-    for label, p in zip(labels, np.clip(probs.reshape(-1, 4), 0.0, None)):
-        draw = rng.multinomial(shots_per_config, p / p.sum())
-        records.append((label, CountRecord(tuple(int(c) for c in draw))))
-    return QptDataset(tuple(records))
+    p = np.clip(probs.reshape(-1, 4), 0.0, None)
+    draws = np.random.default_rng(seed).multinomial(
+        shots_per_config, p / p.sum(axis=1, keepdims=True))
+    return QptDataset(tuple((label, CountRecord(tuple(row)))
+                            for label, row in zip(labels, draws.tolist())))
 
 
 def export_chi_csv(chi: np.ndarray) -> tuple[str, str, str]:

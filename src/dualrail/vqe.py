@@ -30,6 +30,9 @@ DD_MEAS_PHASES = tomography.MEAS_PHASES["d"] * 2
 # computational outcomes (C1..C4) to projector order (VH, VV, HH, HV), so
 # slot k reads count HH_SLOTS[k].  The diagonal basis is X-frame invariant.
 HH_SLOTS = (2, 3, 0, 1)
+# slot indices taking (K, 2, 4) coincidence probabilities, hh then dd, into
+# count order
+_COUNT_ORDER = np.array([[HH_SLOTS, (0, 1, 2, 3)]])
 
 # Frames taking a preparation-stage rail state into the logical qubit the
 # coincidence statistics report (conjugation included; derived once from the
@@ -161,13 +164,13 @@ def measure_energy(
 ):
     """Energy estimates; returns (energy, hh record, dd record).
 
-    The records are the sampled CountRecords, or with shots_per_basis None
-    the exact post-selected probabilities, a tuple of four floats per basis
-    in the order of the counts.  `ansatz_phases` of shape (4,) gives one
-    such triple; a stack (K, 4) gives a list of K triples, from one
-    forward-model call over all 2K configurations.  Counts are drawn row by
-    row, hh before dd, so a stack consumes `rng` exactly as K single calls
-    in a row would.
+    Each record is a tuple of four values per basis in the order of the
+    counts: the sampled counts C1..C4, or with shots_per_basis None the
+    exact post-selected probabilities P1..P4.  `ansatz_phases` of shape (4,)
+    gives one such triple; a stack (K, 4) gives a list of K triples, from one
+    forward-model call over all 2K configurations and one draw of counts,
+    row by row and hh before dd, so a stack consumes `rng` exactly as K
+    single calls in a row would.
     """
     a = np.asarray(ansatz_phases, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != 4:
@@ -176,8 +179,12 @@ def measure_energy(
     if not np.isfinite(a).all():
         bad = a[~np.isfinite(a)][0]
         raise ValueError(f"ansatz phases must be finite, got {bad}")
-    if shots_per_basis is not None and rng is None:
-        raise ValueError("sampled estimation needs an rng")
+    if shots_per_basis is not None:
+        if shots_per_basis <= 0:
+            raise ValueError(
+                f"shots_per_basis must be positive, got {shots_per_basis}")
+        if rng is None:
+            raise ValueError("sampled estimation needs an rng")
     stack = np.atleast_2d(a)
     meas = np.array([HH_MEAS_PHASES, DD_MEAS_PHASES])
     phases = np.concatenate(
@@ -185,23 +192,24 @@ def measure_energy(
          np.broadcast_to(meas, (len(stack), 2, 4))], axis=-1)
     probs = sampler.coincidence_probabilities(
         optics.chip_unitaries(chip, phases), 1.0)
-    results = []
-    for p_hh, p_dd in probs:
-        p_hh = p_hh[list(HH_SLOTS)]
-        if shots_per_basis is None:
-            total_hh, total_dd = p_hh.sum(), p_dd.sum()
-            if not (total_hh > 0.0 and total_dd > 0.0):
-                raise DegenerateDataError(
-                    "no post-selected coincidences in a measurement basis")
-            c_hh, c_dd = p_hh / total_hh, p_dd / total_dd
-            energy = float(h_proj.as_array() @ np.concatenate([c_hh, c_dd]))
-            rec_hh, rec_dd = tuple(c_hh.tolist()), tuple(c_dd.tolist())
-        else:
-            pair_rate = 9.0 * shots_per_basis
-            rec_hh = sampler.sample_counts(p_hh, pair_rate, 1.0, rng)
-            rec_dd = sampler.sample_counts(p_dd, pair_rate, 1.0, rng)
-            energy = expectation_from_counts(h_proj, rec_hh, rec_dd)
-        results.append((energy, rec_hh, rec_dd))
+    # C-contiguous, so each row's 8-term dot product below rounds as the
+    # dot of one contiguous vector does
+    data = np.take_along_axis(probs, _COUNT_ORDER, axis=-1)
+    if shots_per_basis is not None:
+        # the pair number is nine times the expected coincidences, matching
+        # the 1/9 post-selection success of the ideal gate
+        records = sampler.sample_counts(
+            data.reshape(-1, 4), 9 * shots_per_basis, rng)
+        data = np.array([r.counts for r in records]).reshape(data.shape)
+    totals = data.sum(axis=-1, keepdims=True)
+    if not (totals > 0).all():
+        raise DegenerateDataError(
+            "no post-selected coincidences in a measurement basis")
+    shares = data / totals
+    recorded = (shares if shots_per_basis is None else data).tolist()
+    h = h_proj.as_array()
+    results = [(float(h @ row), tuple(hh), tuple(dd))
+               for row, (hh, dd) in zip(shares.reshape(-1, 8), recorded)]
     return results[0] if a.ndim == 1 else results
 
 
@@ -255,7 +263,6 @@ def run_vqe(
     chip: optics.ChipParameters,
     hamiltonian: PauliHamiltonian,
     shots_per_basis: int | None = None,
-    optimizer: str = "nelder-mead",
     seed: int = 0,
     max_evaluations: int = 2000,
     n_restarts: int = 4,
@@ -263,10 +270,10 @@ def run_vqe(
 ) -> VqeResult:
     """Minimize the measured energy over the four preparation phases.
 
-    optimizer 'nelder-mead' runs restarted simplex descent (suited to the
-    exact-probability mode); 'spsa' runs simultaneous-perturbation descent
-    for shot-noise mode.  Coefficients below 1e-8 are dropped on ingestion.
-    Records per-iteration energy and both count traces.
+    The mode picks the optimizer: exact probabilities (shots_per_basis None)
+    run restarted Nelder-Mead simplex descent, and shot-noisy counts run
+    simultaneous-perturbation descent.  Coefficients below 1e-8 are dropped
+    on ingestion.  Records per-iteration energy and both basis records.
     """
     hamiltonian = hamiltonian.filtered()
     h_proj = pauli_to_projector(hamiltonian)
@@ -275,7 +282,6 @@ def run_vqe(
     bounds = (oracle, float(spectrum.max()))
     rng = np.random.default_rng(seed)
     trace = VqeTrace()
-    state = {"best": (np.inf, None), "n": 0}
     exact = shots_per_basis is None
     bound_slack = 1e-9 if exact else 0.0
 
@@ -288,24 +294,21 @@ def run_vqe(
         return [record(row, *m) for row, m in zip(phases, measured)]
 
     def record(phases, energy, rec_hh, rec_dd):
-        state["n"] += 1
-        trace.iterations.append(state["n"])
+        trace.iterations.append(len(trace.energies) + 1)
         trace.phases.append(tuple(phases))
         trace.energies.append(energy)
         running = min(energy, trace.best_energies[-1]) if trace.best_energies \
             else energy
         trace.best_energies.append(running)
-        trace.records_hh.append(rec_hh if exact else rec_hh.counts)
-        trace.records_dd.append(rec_dd if exact else rec_dd.counts)
+        trace.records_hh.append(rec_hh)
+        trace.records_dd.append(rec_dd)
         trace.out_of_bounds.append(
             not bounds[0] - bound_slack <= energy <= bounds[1] + bound_slack
         )
-        if energy < state["best"][0]:
-            state["best"] = (energy, tuple(phases))
         return energy
 
-    if optimizer == "nelder-mead":
-        from scipy.optimize import minimize  # only this optimizer needs scipy
+    if exact:
+        from scipy.optimize import minimize  # only exact runs need scipy
 
         # converged when two consecutive restarts agree to tol; the
         # stagnation flag marks a budget exhausted before that happens
@@ -319,27 +322,24 @@ def run_vqe(
                 options={"maxfev": per_restart, "xatol": 1e-8, "fatol": 1e-12},
             )
             x = np.mod(res.x, TWO_PI)
-            if restart > 0 and abs(state["best"][0] - previous_best) < tol:
+            if restart > 0 and abs(trace.best_energies[-1] - previous_best) < tol:
                 stagnated = False
                 break
-            previous_best = state["best"][0]
+            previous_best = trace.best_energies[-1]
             if restart < n_restarts - 1:
                 x = x + rng.normal(0.0, 0.15, 4)
-    elif optimizer == "spsa":
-        if shots_per_basis is None:
-            raise ValueError("spsa is meant for shot-noise mode")
+    else:
         n_iter = max(max_evaluations // 4, 10)
         for _ in range(2):
             x = _spsa_minimize(objective, rng.uniform(0.0, TWO_PI, 4), rng,
                                n_iter)
             objective(x)
         stagnated = False
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
 
-    # re-measure at the best parameters: the reported energy is a fresh
-    # estimate, not the running minimum of noisy evaluations
-    best_phases = state["best"][1]
+    # re-measure at the best parameters (the first evaluation of the lowest
+    # energy): the reported energy is a fresh estimate, not the running
+    # minimum of noisy evaluations
+    best_phases = trace.phases[int(np.argmin(trace.energies))]
     final_energy = objective(np.array(best_phases))
     return VqeResult(best_phases, final_energy, trace, stagnated, oracle)
 

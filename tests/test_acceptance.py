@@ -174,7 +174,7 @@ def test_criterion_09_vqe_energy():
     assert gap_exact <= 1e-3
     gaps = []
     for seed in range(20):
-        res = vqe.run_vqe(chip, h, shots_per_basis=2000, optimizer="spsa",
+        res = vqe.run_vqe(chip, h, shots_per_basis=2000,
                           seed=seed, max_evaluations=800)
         gaps.append(abs(res.best_energy - res.oracle_energy))
     median = float(np.median(gaps))

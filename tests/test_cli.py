@@ -177,6 +177,10 @@ class TestExitCodes:
         assert run(["qpt", "--ingest", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "o")]) == 1
 
+    def test_zero_shots_rejected(self, tmp_path, capsys):
+        assert run(["vqe", "--shots", "0", "--out", str(tmp_path / "o")]) == 1
+        assert "shots_per_basis must be positive, got 0" in capsys.readouterr().err
+
     def test_convergence_maps_to_two(self, monkeypatch, tmp_path):
         def boom(settings):
             raise ConvergenceError("stuck", residual=1.0)
@@ -185,8 +189,8 @@ class TestExitCodes:
 
 
 class TestImportsLoadNoScipy:
-    # scipy.optimize takes most of the package's start-up; only Nelder-Mead
-    # vqe needs it, and it imports it on first use
+    # scipy.optimize takes most of the package's start-up; only exact-mode
+    # vqe needs it, for Nelder-Mead, and it imports it on first use
     CODE = {
         "import_dualrail": "import dualrail",
         "import_cli": "import dualrail.cli",
@@ -204,6 +208,8 @@ class TestImportsLoadNoScipy:
         ["hom", "--x-points", "11"],
         ["vqe", "--shots", "200", "--optimizer", "spsa"],
         ["qpt", "--simulate", "--shots", "150", "--starts", "1"],
+        # shot mode runs SPSA whatever --optimizer says
+        pytest.param(["vqe", "--shots", "200", "--seed", "7"], id="vqe_shots"),
     ]
 
     @staticmethod

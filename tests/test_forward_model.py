@@ -151,6 +151,22 @@ def test_measure_energy_stack_equals_single_calls(seed, k, shots):
 
 
 @SETTINGS
+@given(seed=seeds, k=st.integers(1, 64),
+       n_events=st.sampled_from([1, 450, 18000, 9 * 10 ** 6]))
+def test_sample_counts_stack_equals_single_calls(seed, k, n_events):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(5), size=k)[:, :4] * rng.uniform(0, 1, (k, 1))
+    probs[rng.uniform(size=(k, 4)) < 0.1] = 0.0
+    rng_stack = np.random.default_rng(seed + 1)
+    rng_single = np.random.default_rng(seed + 1)
+    stacked = sampler.sample_counts(probs, n_events, rng_stack)
+    singles = [sampler.sample_counts(row, n_events, rng_single)
+               for row in probs]
+    assert stacked == singles
+    assert rng_stack.bit_generator.state == rng_single.bit_generator.state
+
+
+@SETTINGS
 @given(seed=seeds)
 def test_process_apply_matches_literal_sum(seed):
     rng = np.random.default_rng(seed)

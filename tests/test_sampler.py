@@ -162,30 +162,30 @@ class TestProbabilities:
 class TestSampling:
     def test_degenerate_multinomial(self):
         rng = np.random.default_rng(0)
-        rec = sampler.sample_counts((1.0, 0.0, 0.0, 0.0), 1000.0, 1.0, rng)
+        rec = sampler.sample_counts((1.0, 0.0, 0.0, 0.0), 1000.0, rng)
         assert rec.counts == (1000, 0, 0, 0)
 
     def test_seed_determinism(self):
         p = np.array([0.25, 0.25, 0.25, 0.25]) / 9.0
-        a = sampler.sample_counts(p, 1e5, 1.0, np.random.default_rng(7))
-        b = sampler.sample_counts(p, 1e5, 1.0, np.random.default_rng(7))
+        a = sampler.sample_counts(p, 1e5, np.random.default_rng(7))
+        b = sampler.sample_counts(p, 1e5, np.random.default_rng(7))
         assert a == b
 
     def test_law_of_large_numbers(self):
         p = np.array([0.25, 0.25, 0.25, 0.25]) / 9.0
-        rec = sampler.sample_counts(p, 1e6, 1.0, np.random.default_rng(11))
+        rec = sampler.sample_counts(p, 1e6, np.random.default_rng(11))
         freqs = rec.normalized()
         assert np.max(np.abs(freqs - 0.25)) < 0.01
 
     def test_probability_sum_capped(self):
         with pytest.raises(ValueError):
-            sampler.sample_counts((0.5, 0.5, 0.5, 0.5), 100.0, 1.0,
+            sampler.sample_counts((0.5, 0.5, 0.5, 0.5), 100.0,
                                   np.random.default_rng(0))
 
     @pytest.mark.parametrize("p", [(0.1, np.nan, 0.1, 0.1), (0.1, -1e-9, 0.1, 0.1)])
     def test_invalid_probabilities_rejected(self, p):
         with pytest.raises(ValueError, match="nonnegative"):
-            sampler.sample_counts(p, 100.0, 1.0, np.random.default_rng(0))
+            sampler.sample_counts(p, 100.0, np.random.default_rng(0))
 
     def test_bucket_vector_bit_exact(self):
         # the five multinomial weights, formed as np.append of the clipped
@@ -204,7 +204,7 @@ class TestSampling:
             expected = np.append(clipped, max(1.0 - clipped.sum(), 0.0))
             expected /= expected.sum()
             rec = Recorder()
-            sampler.sample_counts(p, 100.0, 1.0, rec)
+            sampler.sample_counts(p, 100.0, rec)
             assert rec.pvals.tobytes() == expected.tobytes()
 
     def test_chi_square_goodness_of_fit(self):
@@ -214,7 +214,7 @@ class TestSampling:
         failures = 0
         n_seeds = 200
         for seed in range(n_seeds):
-            rec = sampler.sample_counts(p, 1e6, 1.0, np.random.default_rng(seed))
+            rec = sampler.sample_counts(p, 1e6, np.random.default_rng(seed))
             observed = np.append(rec.counts, 1e6 - rec.total)
             _, pvalue = chisquare(observed, buckets * 1e6)
             if pvalue < 0.01:

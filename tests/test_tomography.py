@@ -207,7 +207,7 @@ class TestEfficiencies:
         for phases in tomo.efficiency_routing_phases():
             u = optics.build_chip_unitary(chip.with_phases(phases))
             probs = sampler.coincidence_probabilities(u, 1.0) * eta
-            records.append(sampler.sample_counts(probs, 9.0 * 200000, 1.0, rng))
+            records.append(sampler.sample_counts(probs, 9.0 * 200000, rng))
         eff = tomo.estimate_efficiencies(records)
         expected = (1.0 / eta) / (1.0 / eta).min()
         assert np.max(np.abs(eff - expected) / expected) < 0.02
