@@ -12,7 +12,6 @@ from .optics import (
     sinkhorn_scale,
 )
 from .sampler import (
-    CountRecord,
     coincidence_probabilities,
     hom_curve,
     hom_visibility,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChipParameters", "build_chip_unitary", "chip_unitaries", "dc_matrix", "fidelity",
     "mzi_matrix", "phase_matrix", "sinkhorn_scale",
-    "CountRecord", "coincidence_probabilities", "hom_curve", "hom_visibility",
+    "coincidence_probabilities", "hom_curve", "hom_visibility",
     "permanent", "prob_indistinguishable", "prob_partial", "sample_counts",
     "submatrix_for_transition",
     "CalibrationSweep", "CrossTalkModel", "CurrentVector", "DacSpec",

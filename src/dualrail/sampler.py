@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,36 +171,14 @@ def coincidence_probabilities(U: np.ndarray, x: float = 1.0) -> np.ndarray:
     return _two_photon(U, _mode_list(optics.INPUT_STATE), _COINCIDENCE_MODES, x)
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Two-fold coincidence counts C1..C4."""
-
-    counts: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.counts)
-        if len(c) != 4 or any(x < 0 for x in c):
-            raise ValueError("counts must be four nonnegative integers")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def normalized(self) -> np.ndarray:
-        if self.total == 0:
-            raise DegenerateDataError("count record sums to zero")
-        return np.array(self.counts, dtype=float) / self.total
-
-
 def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
     """Multinomial coincidence counts with mean <C_j> = n_events * P_j.
 
     The n_events pairs are split between the four coincidence outcomes and
     an implicit discarded bucket of probability 1 - sum(P), mirroring
-    post-selection.  A row P of shape (4,) gives one CountRecord; a stack
-    (K, 4) gives a list of K records from one multinomial draw, which
-    consumes `rng` exactly as K single calls in row order would.
+    post-selection.  The counts are int64 and shaped like P: a row (4,) or a
+    stack (K, 4), drawn in one multinomial call that consumes `rng` exactly
+    as K single calls in row order would.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != 4:
@@ -218,10 +195,7 @@ def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
         raise ValueError(f"n_events must be a positive integer, got {n_events}")
     buckets[..., 4] = np.maximum(1.0 - total_p, 0.0)
     buckets /= buckets.sum(axis=-1, keepdims=True)
-    draws = rng.multinomial(int(n_events), buckets)[..., :4].tolist()
-    if p.ndim == 1:
-        return CountRecord(tuple(draws))
-    return [CountRecord(tuple(row)) for row in draws]
+    return rng.multinomial(int(n_events), buckets)[..., :4]
 
 
 def hom_curve(

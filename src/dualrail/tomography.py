@@ -24,7 +24,6 @@ import numpy as np
 
 from . import _blas, optics, sampler
 from .errors import DegenerateDataError
-from .sampler import CountRecord
 
 # ---------------------------------------------------------------------------
 # Pauli basis and chi-matrix helpers
@@ -170,21 +169,33 @@ def config_phase_settings(label: str, phase_bias: float = 0.0) -> tuple[float, .
 # datasets
 
 
+def _count_tuple(label: str, counts) -> tuple[int, int, int, int]:
+    """Counts C1..C4 as Python ints, if they are four finite, nonnegative integers."""
+    try:
+        c = tuple(counts)
+        if len(c) == 4 and all(x >= 0 and x == int(x) for x in c):
+            return tuple(int(x) for x in c)
+    except (TypeError, ValueError, OverflowError):   # e.g. a string, int(inf)
+        pass
+    raise ValueError(f"configuration {label}: counts must be four nonnegative "
+                     f"integers, got {counts!r}")
+
+
 @dataclass(frozen=True)
 class QptDataset:
-    """Ordered (config label, CountRecord) pairs with distinct labels."""
+    """Ordered (config label, (C1, C2, C3, C4)) pairs with distinct labels."""
 
-    records: tuple[tuple[str, CountRecord], ...]
+    records: tuple[tuple[str, tuple[int, int, int, int]], ...]
 
     def __post_init__(self):
-        recs = tuple((str(label), record) for label, record in self.records)
-        seen = set()
-        for label, _ in recs:
+        recs = {}
+        for label, counts in self.records:
+            label = str(label)
             parse_config_label(label)
-            if label in seen:
+            if label in recs:
                 raise ValueError(f"duplicate configuration label {label!r}")
-            seen.add(label)
-        object.__setattr__(self, "records", recs)
+            recs[label] = _count_tuple(label, counts)
+        object.__setattr__(self, "records", tuple(recs.items()))
 
     def __len__(self):
         return len(self.records)
@@ -196,9 +207,8 @@ class QptDataset:
 def dataset_to_csv(dataset: QptDataset) -> str:
     buf = io.StringIO()
     buf.write("config,C1,C2,C3,C4,sum\n")
-    for label, rec in dataset.records:
-        c = rec.counts
-        buf.write(f"{label},{c[0]},{c[1]},{c[2]},{c[3]},{rec.total}\n")
+    for label, c in dataset.records:
+        buf.write(f"{label},{c[0]},{c[1]},{c[2]},{c[3]},{sum(c)}\n")
     return buf.getvalue()
 
 
@@ -220,7 +230,7 @@ def dataset_from_csv(text: str) -> QptDataset:
             counts = tuple(int(p) for p in parts[1:5])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad count field ({exc})") from exc
-        records.append((parts[0], CountRecord(counts)))
+        records.append((parts[0], counts))
     if not records:
         raise ValueError("dataset file contains no records")
     return QptDataset(tuple(records))
@@ -240,23 +250,21 @@ def reference_config_labels() -> list[str]:
 # efficiency correction
 
 
-def estimate_efficiencies(records) -> np.ndarray:
+def estimate_efficiencies(counts) -> np.ndarray:
     """Relative detection efficiencies from four single-outcome routings.
 
-    Record k routes the photon pair so that outcome C_(k+1) dominates; with
-    a common source, C_i * e_i = const, so e_i is proportional to the
-    inverse designated count.  Normalized so min(e) = 1.
+    Row k of the (4, 4) counts routes the photon pair so that outcome
+    C_(k+1) dominates; with a common source, C_i * e_i = const, so e_i is
+    proportional to the inverse designated count.  Normalized so min(e) = 1.
     """
-    records = list(records)
-    if len(records) != 4:
-        raise ValueError("expected one routing record per coincidence outcome")
-    designated = np.array(
-        [records[k].counts[k] for k in range(4)], dtype=float
-    )
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (4, 4):
+        raise ValueError("expected one routing row of C1..C4 per coincidence outcome")
+    designated = np.diagonal(counts)
     if np.any(designated <= 0):
         raise DegenerateDataError("designated outcome has zero counts")
-    for k, rec in enumerate(records):
-        if rec.counts[k] != max(rec.counts):
+    for k, row in enumerate(counts):
+        if row[k] != row.max():
             raise ValueError(f"routing record {k} is not dominated by C{k + 1}")
     eff = 1.0 / designated
     return eff / eff.min()
@@ -316,16 +324,14 @@ def _design_rows(labels) -> np.ndarray:
 
 def _measured_probabilities(dataset: QptDataset, efficiencies) -> np.ndarray:
     eff = np.ones(4) if efficiencies is None else np.asarray(efficiencies, float)
-    if eff.shape != (4,) or np.any(eff <= 0):
-        raise ValueError("expected 4 positive efficiencies")
-    out = []
-    for label, rec in dataset.records:
-        weighted = np.array(rec.counts, dtype=float) * eff
-        total = weighted.sum()
-        if total <= 0:
-            raise DegenerateDataError(f"configuration {label} has zero counts")
-        out.extend(weighted / total)
-    return np.array(out)
+    if eff.shape != (4,) or not (np.isfinite(eff) & (eff > 0)).all():
+        raise ValueError("expected 4 positive, finite efficiencies")
+    weighted = np.array([c for _, c in dataset.records], dtype=float) * eff
+    totals = weighted.sum(axis=1, keepdims=True)
+    if not (totals > 0).all():
+        label = dataset.labels()[np.argmax(totals <= 0)]   # the first empty one
+        raise DegenerateDataError(f"configuration {label} has zero counts")
+    return (weighted / totals).ravel()
 
 
 def _predicted(u_rows, chi):
@@ -483,14 +489,14 @@ def run_qpt_simulation(
     labels = reference_config_labels() if labels is None else list(labels)
     eta = np.ones(4) if detector_efficiencies is None \
         else np.asarray(detector_efficiencies, dtype=float)
-    if eta.shape != (4,) or np.any(eta < 0) or np.any(eta > 1):
+    if eta.shape != (4,) or not ((eta >= 0) & (eta <= 1)).all():   # NaN fails
         raise ValueError("detector efficiencies must be 4 values in [0, 1]")
     phases = [config_phase_settings(label, phase_bias) for label in labels]
     probs = sampler.coincidence_probabilities(
         optics.chip_unitaries(chip, np.reshape(phases, (-1, 8))), x) * eta
-    records = sampler.sample_counts(probs, 9 * shots_per_config,
-                                    np.random.default_rng(seed))
-    return QptDataset(tuple(zip(labels, records)))
+    counts = sampler.sample_counts(probs, 9 * shots_per_config,
+                                   np.random.default_rng(seed))
+    return QptDataset(tuple(zip(labels, counts.tolist())))
 
 
 def simulate_dataset_from_chi(
@@ -505,8 +511,7 @@ def simulate_dataset_from_chi(
     p = np.clip(probs.reshape(-1, 4), 0.0, None)
     draws = np.random.default_rng(seed).multinomial(
         shots_per_config, p / p.sum(axis=1, keepdims=True))
-    return QptDataset(tuple((label, CountRecord(tuple(row)))
-                            for label, row in zip(labels, draws.tolist())))
+    return QptDataset(tuple(zip(labels, draws.tolist())))
 
 
 def export_chi_csv(chi: np.ndarray) -> tuple[str, str, str]:

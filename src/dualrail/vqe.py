@@ -18,7 +18,6 @@ import numpy as np
 
 from . import optics, sampler, tomography
 from .errors import DegenerateDataError
-from .sampler import CountRecord
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,16 +119,27 @@ def energy_oracle(h: PauliHamiltonian) -> float:
     return float(np.linalg.eigvalsh(h.matrix()).min())
 
 
-def expectation_from_counts(
-    h: ProjectorHamiltonian,
-    counts_hh: CountRecord,
-    counts_dd: CountRecord,
-) -> float:
-    """<H> = sum_i f~_i c_i with c = C / sum(C) per measurement basis."""
-    if counts_hh.total == 0 or counts_dd.total == 0:
-        raise DegenerateDataError("cannot normalize a zero-count record")
-    c = np.concatenate([counts_hh.normalized(), counts_dd.normalized()])
-    return float(h.as_array() @ c)
+def _post_selected(counts: np.ndarray) -> np.ndarray:
+    """Each basis's counts C1..C4 over their total, on the last axis."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    if not (totals > 0).all():
+        raise DegenerateDataError(
+            "no post-selected coincidences in a measurement basis")
+    return counts / totals
+
+
+def expectation_from_counts(h: ProjectorHamiltonian, counts):
+    """<H> = sum_i f~_i c_i with c = C / sum(C) per measurement basis, for
+    counts (or probabilities) in count order, hh then dd: shape (2, 4) gives
+    one energy, a stack (K, 2, 4) an array of K."""
+    c = np.asarray(counts, dtype=float)
+    if c.ndim not in (2, 3) or c.shape[-2:] != (2, 4):
+        raise ValueError(
+            f"expected counts of shape (2, 4) or (K, 2, 4), got shape {c.shape}")
+    f = h.as_array()
+    # each row is contiguous, so its dot rounds as one 8-vector's dot does
+    energies = np.array([f @ row for row in _post_selected(c).reshape(-1, 8)])
+    return float(energies[0]) if c.ndim == 2 else energies
 
 
 def ansatz_state(phases) -> np.ndarray:
@@ -192,24 +202,17 @@ def measure_energy(
          np.broadcast_to(meas, (len(stack), 2, 4))], axis=-1)
     probs = sampler.coincidence_probabilities(
         optics.chip_unitaries(chip, phases), 1.0)
-    # C-contiguous, so each row's 8-term dot product below rounds as the
-    # dot of one contiguous vector does
     data = np.take_along_axis(probs, _COUNT_ORDER, axis=-1)
-    if shots_per_basis is not None:
+    if shots_per_basis is None:
+        recorded = _post_selected(data)
+    else:
         # the pair number is nine times the expected coincidences, matching
         # the 1/9 post-selection success of the ideal gate
-        records = sampler.sample_counts(
-            data.reshape(-1, 4), 9 * shots_per_basis, rng)
-        data = np.array([r.counts for r in records]).reshape(data.shape)
-    totals = data.sum(axis=-1, keepdims=True)
-    if not (totals > 0).all():
-        raise DegenerateDataError(
-            "no post-selected coincidences in a measurement basis")
-    shares = data / totals
-    recorded = (shares if shots_per_basis is None else data).tolist()
-    h = h_proj.as_array()
-    results = [(float(h @ row), tuple(hh), tuple(dd))
-               for row, (hh, dd) in zip(shares.reshape(-1, 8), recorded)]
+        data = recorded = sampler.sample_counts(
+            data.reshape(-1, 4), 9 * shots_per_basis, rng).reshape(data.shape)
+    energies = expectation_from_counts(h_proj, data)
+    results = [(float(e), tuple(hh), tuple(dd))
+               for e, (hh, dd) in zip(energies, recorded.tolist())]
     return results[0] if a.ndim == 1 else results
 
 

@@ -188,6 +188,21 @@ class TestExitCodes:
         assert run(["hom", "--out", str(tmp_path / "o")]) == 2
 
 
+class TestPackageExports:
+    def test_all_names_resolve(self):
+        import dualrail
+        missing = [n for n in dualrail.__all__ if not hasattr(dualrail, n)]
+        assert missing == []
+
+    def test_every_public_import_is_exported(self):
+        import dualrail
+        tree = ast.parse((SRC / "dualrail" / "__init__.py").read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        public = {n for n in imported if not n.startswith("_")}
+        assert sorted(public - set(dualrail.__all__)) == []
+
+
 class TestImportsLoadNoScipy:
     # scipy.optimize takes most of the package's start-up; only exact-mode
     # vqe needs it, for Nelder-Mead, and it imports it on first use

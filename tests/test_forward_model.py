@@ -162,7 +162,7 @@ def test_sample_counts_stack_equals_single_calls(seed, k, n_events):
     stacked = sampler.sample_counts(probs, n_events, rng_stack)
     singles = [sampler.sample_counts(row, n_events, rng_single)
                for row in probs]
-    assert stacked == singles
+    assert np.array_equal(stacked, singles)
     assert rng_stack.bit_generator.state == rng_single.bit_generator.state
 
 

@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import chisquare
 
 from dualrail import optics, sampler
-from dualrail.errors import DegenerateDataError
 
 from test_optics import random_unitary
 
@@ -163,18 +162,18 @@ class TestSampling:
     def test_degenerate_multinomial(self):
         rng = np.random.default_rng(0)
         rec = sampler.sample_counts((1.0, 0.0, 0.0, 0.0), 1000.0, rng)
-        assert rec.counts == (1000, 0, 0, 0)
+        assert rec.tolist() == [1000, 0, 0, 0]
 
     def test_seed_determinism(self):
         p = np.array([0.25, 0.25, 0.25, 0.25]) / 9.0
         a = sampler.sample_counts(p, 1e5, np.random.default_rng(7))
         b = sampler.sample_counts(p, 1e5, np.random.default_rng(7))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         p = np.array([0.25, 0.25, 0.25, 0.25]) / 9.0
         rec = sampler.sample_counts(p, 1e6, np.random.default_rng(11))
-        freqs = rec.normalized()
+        freqs = rec / rec.sum()
         assert np.max(np.abs(freqs - 0.25)) < 0.01
 
     def test_probability_sum_capped(self):
@@ -215,19 +214,11 @@ class TestSampling:
         n_seeds = 200
         for seed in range(n_seeds):
             rec = sampler.sample_counts(p, 1e6, np.random.default_rng(seed))
-            observed = np.append(rec.counts, 1e6 - rec.total)
+            observed = np.append(rec, 1e6 - rec.sum())
             _, pvalue = chisquare(observed, buckets * 1e6)
             if pvalue < 0.01:
                 failures += 1
         assert failures <= 8  # 99% pass rate with binomial slack
-
-    def test_count_record_validation(self):
-        with pytest.raises(ValueError):
-            sampler.CountRecord((1, 2, 3))
-        with pytest.raises(ValueError):
-            sampler.CountRecord((-1, 0, 0, 0))
-        with pytest.raises(DegenerateDataError):
-            sampler.CountRecord((0, 0, 0, 0)).normalized()
 
 
 class TestHom:

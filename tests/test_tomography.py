@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualrail import optics, sampler, tomography as tomo
+from dualrail import cli, optics, sampler, tomography as tomo
 from dualrail.errors import DegenerateDataError
-from dualrail.sampler import CountRecord
 
 from test_optics import random_unitary
 
@@ -24,12 +23,12 @@ def frank_wolfe_gap(dataset, chi):
     """
     grad = np.zeros((16, 16), dtype=complex)
     dot = 0.0
-    for label, record in dataset.records:
+    for label, counts in dataset.records:
         prep, taus = tomo.config_states(label)
-        for tau, count in zip(taus, record.counts):
+        for tau, count in zip(taus, counts):
             u = np.array([np.vdot(tau, op @ prep) for op in tomo.PAULI_OPS]).conj()
             p = np.real(np.vdot(u, chi @ u))
-            r = p - count / record.total
+            r = p - count / sum(counts)
             grad += 2.0 * r * np.outer(u, u.conj())
             dot += 2.0 * r * p
     return dot - np.linalg.eigvalsh(grad)[0]
@@ -182,20 +181,20 @@ class TestCodebook:
 
 class TestEfficiencies:
     def test_equal_counts(self):
-        recs = [CountRecord(tuple(2000 if i == k else 5 for i in range(4)))
+        recs = [tuple(2000 if i == k else 5 for i in range(4))
                 for k in range(4)]
         assert np.allclose(tomo.estimate_efficiencies(recs), 1.0)
 
     def test_inverse_proportionality(self):
         designated = (2000, 1000, 2000, 2000)
-        recs = [CountRecord(tuple(designated[k] if i == k else 0 for i in range(4)))
+        recs = [tuple(designated[k] if i == k else 0 for i in range(4))
                 for k in range(4)]
         eff = tomo.estimate_efficiencies(recs)
         assert np.allclose(eff, (1.0, 2.0, 1.0, 1.0))
 
     def test_zero_designated_count(self):
-        recs = [CountRecord((0, 1, 1, 1)), CountRecord((1, 2, 1, 1)),
-                CountRecord((1, 1, 2, 1)), CountRecord((1, 1, 1, 2))]
+        recs = [(0, 1, 1, 1), (1, 2, 1, 1),
+                (1, 1, 2, 1), (1, 1, 1, 2)]
         with pytest.raises(DegenerateDataError):
             tomo.estimate_efficiencies(recs)
 
@@ -272,6 +271,39 @@ class TestReconstruction:
         with pytest.raises(ValueError, match=repr(records[4][0])):
             tomo.QptDataset(tuple(records))
 
+    def test_zero_count_configuration_named(self, tmp_path, capsys):
+        records = list(tomo.load_reference_counts().records)
+        for k in (5, 9):
+            records[k] = (records[k][0], (0, 0, 0, 0))
+        dataset = tomo.QptDataset(tuple(records))
+        message = f"configuration {records[5][0]} has zero counts"
+        with pytest.raises(DegenerateDataError, match=message):
+            tomo.mle_reconstruct(dataset)
+        path = tmp_path / "zeros.csv"
+        path.write_text(tomo.dataset_to_csv(dataset))
+        assert cli.main(["qpt", "--ingest", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_efficiencies_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite efficiencies"):
+            tomo.mle_reconstruct(tomo.load_reference_counts(),
+                                 efficiencies=(1.0, bad, 1.0, 1.0))
+        with pytest.raises(ValueError, match="detector efficiencies"):
+            tomo.run_qpt_simulation(optics.ChipParameters.ideal(),
+                                    detector_efficiencies=(1.0, bad, 1.0, 1.0))
+
+    def test_measured_probabilities_match_row_loop(self):
+        # one (N, 4) expression, rounding as the per-configuration loop did
+        dataset = tomo.run_qpt_simulation(optics.ChipParameters.ideal(),
+                                          shots_per_config=300, seed=5)
+        for eff in (np.ones(4), np.random.default_rng(5).uniform(0.3, 1.0, 4)):
+            rows = [np.array(c, dtype=float) * eff for _, c in dataset.records]
+            expected = np.concatenate([w / w.sum() for w in rows])
+            got = tomo._measured_probabilities(dataset, eff)
+            assert got.tobytes() == expected.tobytes()
+
     def test_efficiency_weighting_changes_probabilities(self):
         dataset = tomo.load_reference_counts()
         q1 = tomo._measured_probabilities(dataset, None)
@@ -292,7 +324,7 @@ class TestSimulationAndIo:
     def test_simulation_counts_near_expected_scale(self):
         dataset = tomo.run_qpt_simulation(
             optics.ChipParameters.ideal(), shots_per_config=2000, seed=9)
-        totals = [rec.total for _, rec in dataset.records]
+        totals = [sum(c) for _, c in dataset.records]
         assert 1700 < np.mean(totals) < 2300
 
     def test_csv_round_trip(self):
@@ -310,9 +342,22 @@ class TestSimulationAndIo:
         dataset = tomo.load_reference_counts()
         assert [row[0] for row in rows] == dataset.labels()
         four_count_sums = [sum(int(c) for c in row[1:5]) for row in rows]
-        assert [rec.total for _, rec in dataset.records] == four_count_sums
+        assert [sum(c) for _, c in dataset.records] == four_count_sums
         published = [int(row[5]) for row in rows]
         assert sum(a != b for a, b in zip(published, four_count_sums)) == 28
+
+    @pytest.mark.parametrize("counts", [
+        (1, 2, 3), (1, -1, 3, 4), (1.5, 2, 3, 4), (1, np.nan, 3, 4),
+        (1, 2, np.inf, 4)], ids=["length", "negative", "fraction", "nan", "inf"])
+    def test_counts_must_be_four_nonnegative_integers(self, counts):
+        with pytest.raises(ValueError, match="configuration HVdr: counts must"):
+            tomo.QptDataset((("HHhh", (1, 2, 3, 4)), ("HVdr", counts)))
+
+    def test_integral_counts_stored_as_ints(self):
+        dataset = tomo.QptDataset((("HHhh", np.array([2, 0, 7, 1])),
+                                   ("HVdr", (3.0, 1, 0, 2))))
+        assert dataset.records == (("HHhh", (2, 0, 7, 1)), ("HVdr", (3, 1, 0, 2)))
+        assert all(type(c) is int for _, counts in dataset.records for c in counts)
 
     def test_csv_error_carries_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
@@ -409,4 +454,4 @@ class TestProperties:
                                      seed=seed, labels=labels)
         back = tomo.dataset_from_csv(tomo.dataset_to_csv(ds))
         assert back.labels() == labels
-        assert [r.counts for _, r in back.records] == [r.counts for _, r in ds.records]
+        assert [c for _, c in back.records] == [c for _, c in ds.records]

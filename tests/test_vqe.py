@@ -6,7 +6,6 @@ import pytest
 
 from dualrail import cli, optics, vqe
 from dualrail.errors import DegenerateDataError
-from dualrail.sampler import CountRecord
 
 REFERENCE_PROJ = (1.851, 0.447, 0.447, -0.904, 0.165, -0.165, -0.165, 0.165)
 
@@ -85,21 +84,34 @@ class TestEnergyOracle:
 class TestExpectationFromCounts:
     def test_basis_state_reference_value(self, h2):
         proj = vqe.pauli_to_projector(h2)
-        hh = CountRecord((5000, 0, 0, 0))
-        dd = CountRecord((1000, 1000, 1000, 1000))
-        assert abs(vqe.expectation_from_counts(proj, hh, dd) - 1.851) < 1e-12
+        hh = (5000, 0, 0, 0)
+        dd = (1000, 1000, 1000, 1000)
+        assert abs(vqe.expectation_from_counts(proj, [hh, dd]) - 1.851) < 1e-12
 
     def test_zero_coefficients(self):
         proj = vqe.ProjectorHamiltonian((0,) * 8)
-        hh = CountRecord((5, 6, 7, 8))
-        dd = CountRecord((1, 2, 3, 4))
-        assert vqe.expectation_from_counts(proj, hh, dd) == 0.0
+        hh = (5, 6, 7, 8)
+        dd = (1, 2, 3, 4)
+        assert vqe.expectation_from_counts(proj, [hh, dd]) == 0.0
 
     def test_zero_total_rejected(self, h2):
         proj = vqe.pauli_to_projector(h2)
         with pytest.raises(DegenerateDataError):
-            vqe.expectation_from_counts(proj, CountRecord((0, 0, 0, 0)),
-                                        CountRecord((1, 1, 1, 1)))
+            vqe.expectation_from_counts(proj, [(0, 0, 0, 0),
+                                               (1, 1, 1, 1)])
+
+    def test_stack_gives_one_energy_per_row(self, h2):
+        proj = vqe.pauli_to_projector(h2)
+        counts = np.random.default_rng(3).integers(1, 500, (5, 2, 4))
+        energies = vqe.expectation_from_counts(proj, counts)
+        assert energies.tolist() == [vqe.expectation_from_counts(proj, c)
+                                     for c in counts]
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 2), (2, 3), (1, 1, 2, 4)])
+    def test_wrong_shape_rejected(self, h2, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            vqe.expectation_from_counts(vqe.pauli_to_projector(h2),
+                                        np.ones(shape))
 
     def test_exact_mode_matches_state_expectation(self, h2):
         # estimator assembled from chip probabilities equals <psi|H|psi>
