@@ -41,7 +41,7 @@ _DEFAULTS = {
     "noise": 0.01,
     "samples": 100,
     "ratio_dev": 0.0,
-    "optimizer": "nelder-mead",   # ignored: the vqe mode picks the optimizer
+    "optimizer": "nelder-mead",   # ignored: both vqe modes run one optimizer
     "hamiltonian": None,
     "ingest": None,
     "simulate": False,
@@ -304,14 +304,16 @@ def cmd_vqe(settings) -> int:
 
     chip = optics.ChipParameters.ideal()
     shots = None if settings["exact"] else settings["shots"]
-    summary = ["distance_angstrom,E_vqe,E_oracle,gap,stagnated"]
+    summary = ["distance_angstrom,E_vqe,E_oracle,gap,stagnated,sweeps,"
+               "evaluations"]
     for distance, h in rows:
         result = vqe.run_vqe(chip, h, shots_per_basis=shots,
                              seed=settings["seed"])
         gap = result.best_energy - result.oracle_energy
         summary.append(
             f"{distance:.6g},{result.best_energy:.8f},"
-            f"{result.oracle_energy:.8f},{gap:.2e},{result.stagnated}"
+            f"{result.oracle_energy:.8f},{gap:.2e},{result.stagnated},"
+            f"{result.sweeps},{len(result.trace.energies)}"
         )
         t = result.trace
         # sampled runs record counts C1..C4, exact runs the post-selected
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int)
     p.add_argument("--exact", action="store_true", default=None)
     p.add_argument("--optimizer", choices=("nelder-mead", "spsa"),
-                   help="ignored (--exact runs Nelder-Mead, --shots runs SPSA)")
+                   help="ignored (both modes run coordinate descent)")
 
     return parser
 

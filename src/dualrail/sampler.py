@@ -191,7 +191,7 @@ def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
     total_p = buckets[..., :4].sum(axis=-1)
     if total_p.max() > 1.0 + 1e-9:
         raise ValueError(f"probabilities sum to {total_p.max()} > 1")
-    if n_events != int(n_events) or n_events <= 0:
+    if not (math.isfinite(n_events) and n_events == int(n_events) > 0):
         raise ValueError(f"n_events must be a positive integer, got {n_events}")
     buckets[..., 4] = np.maximum(1.0 - total_p, 0.0)
     buckets /= buckets.sum(axis=-1, keepdims=True)

@@ -7,7 +7,10 @@ The two-qubit hydrogen Hamiltonian
 is estimated from coincidence counts in two measurement settings: the
 computational (hh) basis covers the II/ZZ/ZI/IZ terms and the diagonal
 (dd) basis covers XX, via the projector decomposition with coefficients
-f~0..f~7.  A classical optimizer drives the four preparation phases.
+f~0..f~7.  Each preparation stage carries one photon, so every raw
+coincidence probability is a + b cos phi + c sin phi in each of the four
+preparation phases, and `run_vqe` minimizes over one phase at a time in
+closed form, with exact probabilities and with sampled counts alike.
 """
 
 from __future__ import annotations
@@ -165,6 +168,33 @@ def exact_expectation(h: PauliHamiltonian, phases) -> float:
     return float(np.real(np.vdot(psi, h.matrix() @ psi)))
 
 
+def _measure(chip, h_proj, stack, shots_per_basis, rng):
+    """Raw data (K, 2, 4) in count order, hh then dd, for ansatz phases
+    (K, 4), and their K (energy, hh record, dd record) triples.  The raw
+    data are the coincidence probabilities, or counts drawn from them row by
+    row, hh before dd: expected counts are linear in the probabilities."""
+    if shots_per_basis is not None and shots_per_basis <= 0:
+        raise ValueError(
+            f"shots_per_basis must be positive, got {shots_per_basis}")
+    meas = np.array([HH_MEAS_PHASES, DD_MEAS_PHASES])
+    phases = np.concatenate(
+        [np.repeat(stack[:, None, :], 2, axis=1),
+         np.broadcast_to(meas, (len(stack), 2, 4))], axis=-1)
+    probs = sampler.coincidence_probabilities(
+        optics.chip_unitaries(chip, phases), 1.0)
+    data = np.take_along_axis(probs, _COUNT_ORDER, axis=-1)
+    if shots_per_basis is None:
+        recorded = _post_selected(data)
+    else:
+        # the pair number is nine times the expected coincidences, matching
+        # the 1/9 post-selection success of the ideal gate
+        data = recorded = sampler.sample_counts(
+            data.reshape(-1, 4), 9 * shots_per_basis, rng).reshape(data.shape)
+    energies = expectation_from_counts(h_proj, data)
+    return data, [(float(e), tuple(hh), tuple(dd))
+                  for e, (hh, dd) in zip(energies, recorded.tolist())]
+
+
 def measure_energy(
     chip: optics.ChipParameters,
     h_proj: ProjectorHamiltonian,
@@ -189,30 +219,9 @@ def measure_energy(
     if not np.isfinite(a).all():
         bad = a[~np.isfinite(a)][0]
         raise ValueError(f"ansatz phases must be finite, got {bad}")
-    if shots_per_basis is not None:
-        if shots_per_basis <= 0:
-            raise ValueError(
-                f"shots_per_basis must be positive, got {shots_per_basis}")
-        if rng is None:
-            raise ValueError("sampled estimation needs an rng")
-    stack = np.atleast_2d(a)
-    meas = np.array([HH_MEAS_PHASES, DD_MEAS_PHASES])
-    phases = np.concatenate(
-        [np.repeat(stack[:, None, :], 2, axis=1),
-         np.broadcast_to(meas, (len(stack), 2, 4))], axis=-1)
-    probs = sampler.coincidence_probabilities(
-        optics.chip_unitaries(chip, phases), 1.0)
-    data = np.take_along_axis(probs, _COUNT_ORDER, axis=-1)
-    if shots_per_basis is None:
-        recorded = _post_selected(data)
-    else:
-        # the pair number is nine times the expected coincidences, matching
-        # the 1/9 post-selection success of the ideal gate
-        data = recorded = sampler.sample_counts(
-            data.reshape(-1, 4), 9 * shots_per_basis, rng).reshape(data.shape)
-    energies = expectation_from_counts(h_proj, data)
-    results = [(float(e), tuple(hh), tuple(dd))
-               for e, (hh, dd) in zip(energies, recorded.tolist())]
+    if shots_per_basis is not None and rng is None:
+        raise ValueError("sampled estimation needs an rng")
+    _, results = _measure(chip, h_proj, np.atleast_2d(a), shots_per_basis, rng)
     return results[0] if a.ndim == 1 else results
 
 
@@ -236,30 +245,38 @@ class VqeResult:
     trace: VqeTrace
     stagnated: bool
     oracle_energy: float
+    sweeps: int   # the last one may be cut short by the budget
 
 
-def _spsa_minimize(objective, x0, rng, n_iterations, a0=0.6, c0=0.25,
-                   alpha=0.602, gamma=0.101):
-    """Simultaneous-perturbation descent for noisy objectives.
+# a step measures its phase at three equally spaced shifts, which fix the
+# sinusoid a + b cos + c sin of each raw value
+_SHIFTS = np.array([0.0, 1.0, 2.0]) * TWO_PI / 3.0
+# the energy of the sinusoids is scanned on the first grid; each refinement
+# lays the second across the two spacings around the best point so far
+_GRID = np.arange(64) / 64.0
+_REFINEMENTS = (np.linspace(-1.0, 1.0, 33),) * 6
 
-    `objective` takes a stack of points (2, n) and returns their two values:
-    both points of a step are known before either is measured, so they are
-    evaluated together.
-    """
-    x = np.array(x0, dtype=float)
-    best_x, best_f = x.copy(), np.inf
-    for k in range(n_iterations):
-        ak = a0 / (k + 1 + 0.1 * n_iterations) ** alpha
-        ck = c0 / (k + 1) ** gamma
-        delta = rng.choice([-1.0, 1.0], size=x.size)
-        f_plus, f_minus = objective(np.stack([x + ck * delta, x - ck * delta]))
-        ghat = (f_plus - f_minus) / (2.0 * ck) * delta
-        x = x - ak * ghat
-        x = np.mod(x, TWO_PI)
-        f_here = min(f_plus, f_minus)
-        if f_here < best_f:
-            best_f, best_x = f_here, x.copy()
-    return best_x
+
+def _coordinate_minimum(h_proj, raw, refine):
+    """(shift, energy) minimizing the post-selected energy f~ . (r / sum r
+    per basis) of r = a + b cos(shift) + c sin(shift) through the raw data
+    (3, 2, 4) measured at _SHIFTS."""
+    a = raw.mean(axis=0)
+    b, c = 2.0 / 3.0 * np.tensordot([np.cos(_SHIFTS), np.sin(_SHIFTS)], raw, 1)
+    best, spacing = 0.0, TWO_PI
+    for grid in (_GRID,) + (_REFINEMENTS if refine else ()):
+        shifts = best + spacing * grid
+        spacing *= grid[1] - grid[0]
+        model = (a + np.multiply.outer(np.cos(shifts), b)
+                 + np.multiply.outer(np.sin(shifts), c))
+        totals = model.sum(axis=-1, keepdims=True)
+        # fitted counts can have a basis total that dips to zero between the
+        # measured shifts; no energy is defined there
+        post = model / np.where(totals > 0.0, totals, np.nan)
+        energies = post.reshape(len(shifts), 8) @ h_proj.as_array()
+        i = int(np.nanargmin(energies))
+        best, energy = shifts[i], energies[i]
+    return best, energy
 
 
 def run_vqe(
@@ -268,83 +285,63 @@ def run_vqe(
     shots_per_basis: int | None = None,
     seed: int = 0,
     max_evaluations: int = 2000,
-    n_restarts: int = 4,
     tol: float = 1e-9,
 ) -> VqeResult:
-    """Minimize the measured energy over the four preparation phases.
+    """Minimize the measured energy over the four preparation phases by
+    sequential minimal optimization (NFT, Rotosolve).
 
-    The mode picks the optimizer: exact probabilities (shots_per_basis None)
-    run restarted Nelder-Mead simplex descent, and shot-noisy counts run
-    simultaneous-perturbation descent.  Coefficients below 1e-8 are dropped
-    on ingestion.  Records per-iteration energy and both basis records.
+    Step j measures the current point with phi_k (k = j mod 4) shifted by 0,
+    2pi/3 and 4pi/3 in one forward-model call and moves phi_k to the minimum
+    of the energy of the sinusoids through the raw values, on a grid refined
+    in exact mode.  Exact probabilities stop when a sweep of four steps moves
+    the energy by less than `tol`; `stagnated` means max_evaluations ran out
+    first.  Counts run to that budget.  The best measured point is measured
+    again.  Coefficients below 1e-8 are dropped.
     """
+    if max_evaluations < 4:
+        raise ValueError(f"need max_evaluations >= 4, got {max_evaluations}")
     hamiltonian = hamiltonian.filtered()
     h_proj = pauli_to_projector(hamiltonian)
-    spectrum = np.linalg.eigvalsh(hamiltonian.matrix())
-    oracle = float(spectrum.min())
-    bounds = (oracle, float(spectrum.max()))
+    spectrum = np.linalg.eigvalsh(hamiltonian.matrix())   # ascending
+    exact = shots_per_basis is None
+    slack = 1e-9 if exact else 0.0
+    bounds = (spectrum[0] - slack, spectrum[-1] + slack)
     rng = np.random.default_rng(seed)
     trace = VqeTrace()
-    exact = shots_per_basis is None
-    bound_slack = 1e-9 if exact else 0.0
-
-    def objective(phases):
-        # one point (4,) gives its energy, a stack (K, 4) a list of K energies
-        phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
-        measured = measure_energy(chip, h_proj, phases, shots_per_basis, rng)
-        if phases.ndim == 1:
-            return record(phases, *measured)
-        return [record(row, *m) for row, m in zip(phases, measured)]
 
     def record(phases, energy, rec_hh, rec_dd):
         trace.iterations.append(len(trace.energies) + 1)
         trace.phases.append(tuple(phases))
         trace.energies.append(energy)
-        running = min(energy, trace.best_energies[-1]) if trace.best_energies \
-            else energy
-        trace.best_energies.append(running)
+        trace.best_energies.append(min(trace.best_energies[-1:] + [energy]))
         trace.records_hh.append(rec_hh)
         trace.records_dd.append(rec_dd)
-        trace.out_of_bounds.append(
-            not bounds[0] - bound_slack <= energy <= bounds[1] + bound_slack
-        )
-        return energy
+        trace.out_of_bounds.append(not bounds[0] <= energy <= bounds[1])
 
-    if exact:
-        from scipy.optimize import minimize  # only exact runs need scipy
-
-        # converged when two consecutive restarts agree to tol; the
-        # stagnation flag marks a budget exhausted before that happens
-        x = rng.uniform(0.0, TWO_PI, 4)
-        per_restart = max(max_evaluations // max(n_restarts, 1), 50)
-        previous_best = np.inf
-        stagnated = True
-        for restart in range(n_restarts):
-            res = minimize(
-                objective, x, method="Nelder-Mead",
-                options={"maxfev": per_restart, "xatol": 1e-8, "fatol": 1e-12},
-            )
-            x = np.mod(res.x, TWO_PI)
-            if restart > 0 and abs(trace.best_energies[-1] - previous_best) < tol:
-                stagnated = False
-                break
-            previous_best = trace.best_energies[-1]
-            if restart < n_restarts - 1:
-                x = x + rng.normal(0.0, 0.15, 4)
-    else:
-        n_iter = max(max_evaluations // 4, 10)
-        for _ in range(2):
-            x = _spsa_minimize(objective, rng.uniform(0.0, TWO_PI, 4), rng,
-                               n_iter)
-            objective(x)
-        stagnated = False
+    x = rng.uniform(0.0, TWO_PI, 4)
+    stagnated = exact
+    # the budget keeps one evaluation for the final re-measurement
+    for step in range((max_evaluations - 1) // 3):
+        k = step % 4
+        points = np.mod(x + np.outer(_SHIFTS, np.eye(4)[k]), TWO_PI)
+        raw, results = _measure(chip, h_proj, points, shots_per_basis, rng)
+        for row, triple in zip(points, results):
+            record(row, *triple)
+        shift, energy = _coordinate_minimum(h_proj, raw, exact)
+        x[k] = np.mod(x[k] + shift, TWO_PI)
+        # a sweep starts at the first of its 12 measured points
+        if exact and k == 3 and abs(energy - trace.energies[-12]) < tol:
+            stagnated = False
+            break
 
     # re-measure at the best parameters (the first evaluation of the lowest
     # energy): the reported energy is a fresh estimate, not the running
     # minimum of noisy evaluations
     best_phases = trace.phases[int(np.argmin(trace.energies))]
-    final_energy = objective(np.array(best_phases))
-    return VqeResult(best_phases, final_energy, trace, stagnated, oracle)
+    record(best_phases, *measure_energy(chip, h_proj, best_phases,
+                                        shots_per_basis, rng))
+    return VqeResult(best_phases, trace.energies[-1], trace, stagnated,
+                     float(spectrum[0]), step // 4 + 1)
 
 
 # ---------------------------------------------------------------------------

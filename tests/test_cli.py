@@ -204,8 +204,8 @@ class TestPackageExports:
 
 
 class TestImportsLoadNoScipy:
-    # scipy.optimize takes most of the package's start-up; only exact-mode
-    # vqe needs it, for Nelder-Mead, and it imports it on first use
+    # no code in the package imports scipy: it is a test-only dependency,
+    # used as an oracle, and loading it would double a command's memory
     CODE = {
         "import_dualrail": "import dualrail",
         "import_cli": "import dualrail.cli",
@@ -223,8 +223,9 @@ class TestImportsLoadNoScipy:
         ["hom", "--x-points", "11"],
         ["vqe", "--shots", "200", "--optimizer", "spsa"],
         ["qpt", "--simulate", "--shots", "150", "--starts", "1"],
-        # shot mode runs SPSA whatever --optimizer says
+        # both modes run one optimizer whatever --optimizer says
         pytest.param(["vqe", "--shots", "200", "--seed", "7"], id="vqe_shots"),
+        pytest.param(["vqe", "--exact"], id="vqe_exact"),
     ]
 
     @staticmethod

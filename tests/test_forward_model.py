@@ -87,6 +87,33 @@ def test_chip_unitaries_rows_match_single_builds(ratios, static, seed, n):
         assert np.max(np.abs(u - literal_chip_unitary(chip, row))) < 1e-14
 
 
+@SETTINGS
+@given(seed=seeds, x=overlaps,
+       static=st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=2),
+       k=st.integers(0, 3))
+def test_coincidences_one_frequency_in_each_preparation_phase(seed, x, static,
+                                                             k):
+    # each preparation stage carries one photon, so every amplitude is
+    # linear in exp(i phi_k): three equally spaced shifts fix the sinusoid
+    # a + b cos + c sin, which then predicts every other shift
+    rng = np.random.default_rng(seed)
+    chip = (optics.ChipParameters.ideal().perturbed(0.05, rng)
+            .with_static_phases(*static))
+    fit_shifts = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+    shifts = np.concatenate([fit_shifts, rng.uniform(0.0, 2 * np.pi, 5)])
+    phases = np.tile(rng.uniform(0.0, 2 * np.pi, 8), (len(shifts), 1))
+    phases[:, k] += shifts
+    probs = sampler.coincidence_probabilities(
+        optics.chip_unitaries(chip, phases), x)
+    fit = probs[:3]
+    a = fit.mean(axis=0)
+    b = 2.0 / 3.0 * np.cos(fit_shifts) @ fit
+    c = 2.0 / 3.0 * np.sin(fit_shifts) @ fit
+    predicted = (a + np.outer(np.cos(shifts), b)
+                 + np.outer(np.sin(shifts), c))
+    assert np.max(np.abs(predicted - probs)) <= 1e-12
+
+
 def uncached_chip_unitaries(params, phases):
     """Uncached reference: every stage coupler rebuilt by `mzi_matrix`,
     multiplied in the order `optics.chip_unitaries` must keep."""

@@ -186,6 +186,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="nonnegative"):
             sampler.sample_counts(p, 100.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_events", [np.inf, np.nan])
+    def test_non_finite_n_events_rejected(self, n_events):
+        with pytest.raises(ValueError, match="n_events"):
+            sampler.sample_counts((0.1, 0.1, 0.1, 0.1), n_events,
+                                  np.random.default_rng(0))
+
     def test_bucket_vector_bit_exact(self):
         # the five multinomial weights, formed as np.append of the clipped
         # four and the discarded remainder, then normalized; any other

@@ -181,6 +181,18 @@ class TestExactRecords:
             assert np.allclose(probs.reshape(2, 4).sum(axis=1), 1.0,
                                rtol=0.0, atol=1e-10)
 
+    def test_cli_summary_counts_evaluations(self, tmp_path):
+        assert cli.main(["vqe", "--exact", "--out", str(tmp_path)]) == 0
+        summary, trace = (
+            [ln for ln in (tmp_path / name).read_text().splitlines()
+             if not ln.startswith("#")]
+            for name in ("vqe_summary.csv", "trace_0p4A.csv"))
+        assert summary[0].split(",")[4:] == ["stagnated", "sweeps",
+                                             "evaluations"]
+        stagnated, sweeps, evaluations = summary[1].split(",")[4:]
+        assert stagnated == "False"
+        assert int(evaluations) == len(trace) - 1 == 12 * int(sweeps) + 1
+
 
 class TestRunVqe:
     def test_exact_mode_reaches_oracle(self, h2):
@@ -192,7 +204,7 @@ class TestRunVqe:
     def test_exact_energies_within_spectrum_bounds(self, h2):
         chip = optics.ChipParameters.ideal()
         res = vqe.run_vqe(chip, h2, shots_per_basis=None, seed=1,
-                          max_evaluations=300, n_restarts=2)
+                          max_evaluations=300)
         bounds = np.linalg.eigvalsh(h2.matrix())
         energies = np.array(res.trace.energies)
         assert np.all(energies >= bounds.min() - 1e-9)
@@ -210,7 +222,7 @@ class TestRunVqe:
         chip = optics.ChipParameters.ideal()
         h = vqe.PauliHamiltonian(0.7, 0, 0, 0, 0)
         res = vqe.run_vqe(chip, h, shots_per_basis=None, seed=2,
-                          max_evaluations=120, n_restarts=2)
+                          max_evaluations=120)
         energies = np.array(res.trace.energies)
         assert np.max(np.abs(energies - 0.7)) < 1e-9
 
@@ -232,7 +244,7 @@ class TestRunVqe:
         assert a.trace.energies == b.trace.energies
         assert a.best_phases == b.best_phases
 
-    def test_spsa_evaluates_each_pair_in_one_forward_model_call(
+    def test_each_coordinate_step_is_one_forward_model_call(
             self, h2, monkeypatch):
         calls = []
         build = optics.chip_unitaries
@@ -245,11 +257,65 @@ class TestRunVqe:
         res = vqe.run_vqe(optics.ChipParameters.ideal(), h2,
                           shots_per_basis=500, seed=4,
                           max_evaluations=40)
-        # n_iter = 10: two SPSA runs of 10 pairs and one final point each,
-        # then the re-measurement at the best phases
-        assert len(res.trace.energies) == 43
-        assert len(calls) == 23
-        assert calls.count((2, 2, 8)) == 20
+        # 13 steps of three points each, then the re-measurement at the
+        # best phases; the budget of 40 is spent exactly
+        assert calls == [(3, 2, 8)] * 13 + [(1, 2, 8)]
+        assert len(res.trace.energies) == 40
+        assert res.sweeps == 4 and not res.stagnated
+        for step in range(13):
+            points = np.array(res.trace.phases[3 * step:3 * step + 3])
+            moved = np.flatnonzero(np.ptp(points, axis=0) > 0)
+            assert moved.tolist() == [step % 4]
+
+    def test_exact_budget_exhausted_is_stagnation(self, h2):
+        res = vqe.run_vqe(optics.ChipParameters.ideal(), h2,
+                          shots_per_basis=None, seed=0, max_evaluations=13)
+        assert res.stagnated
+        assert len(res.trace.energies) == 13 and res.sweeps == 1
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_budget_below_one_step_rejected(self, h2, budget):
+        with pytest.raises(ValueError, match="max_evaluations"):
+            vqe.run_vqe(optics.ChipParameters.ideal(), h2,
+                        max_evaluations=budget)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_coordinate_step_skips_shifts_without_coincidences(self, h2,
+                                                               refine):
+        # hh totals 1, 1 and 5 at the measured shifts fit a total that
+        # dips below zero between them, where no energy is defined
+        raw = np.zeros((3, 2, 4))
+        raw[:, 1] = 1.0
+        raw[0, 0, 0] = raw[1, 0, 0] = 1.0
+        raw[2, 0, 3] = 5.0
+        shift, energy = vqe._coordinate_minimum(
+            vqe.pauli_to_projector(h2), raw, refine)
+        # the hh total's a, b, c from (1, 1, 5) at shifts 0, 2pi/3, 4pi/3
+        a, b, c = 7 / 3, -4 / 3, -8 / 3 * np.sin(2 * np.pi / 3)
+        total = a + b * np.cos(shift) + c * np.sin(shift)
+        assert total > 0 and np.isfinite(energy)
+
+    @pytest.mark.parametrize("chip_seed", [0, 1, 4])
+    def test_exact_mode_matches_nelder_mead_on_perturbed_chips(
+            self, h2, chip_seed):
+        # on an imperfect chip the reachable minimum is not the Hamiltonian's
+        # eigenvalue, so the reference is scipy's simplex descent on the
+        # measured energy, best of three starts
+        from scipy.optimize import minimize
+
+        chip = optics.ChipParameters.ideal().perturbed(
+            0.03, np.random.default_rng(chip_seed))
+        proj = vqe.pauli_to_projector(h2)
+        rng = np.random.default_rng(100 + chip_seed)
+        reference = min(
+            minimize(lambda x: vqe.measure_energy(chip, proj, x, None)[0],
+                     rng.uniform(0.0, 2 * np.pi, 4), method="Nelder-Mead",
+                     options={"maxfev": 4000, "xatol": 1e-10,
+                              "fatol": 1e-14}).fun
+            for _ in range(3))
+        res = vqe.run_vqe(chip, h2, shots_per_basis=None, seed=chip_seed)
+        assert not res.stagnated
+        assert abs(res.best_energy - reference) <= 1e-8
 
 
 class TestTables:
@@ -274,23 +340,21 @@ class TestTables:
         assert np.allclose(rows[0][1].as_array(), REFERENCE_PROJ)
 
 
-# SHA-256 of every --out file of `vqe` runs. The SPSA digests are from the
-# commit before SPSA pairs went through one forward-model call, the exact one
-# from the commit before the exact and sampled energies shared one path:
-# neither change may move a byte. The test keeps its name, and the entries
-# keep their order, so that the ids of the SPSA cases stay as they were.
+# SHA-256 of every --out file of `vqe` runs, pinned when both modes moved to
+# coordinate descent. The test keeps its name, and the entries keep their
+# order, so that the ids of the cases stay as they were.
 GOLDEN_DIGESTS = {
     ("--shots", "200", "--optimizer", "spsa", "--seed", "7"): {
-        "trace_0p4A.csv": "695eaded9d62fb1215bbce8007449e6db3b201e10eb914aac9dbfa57f2630f40",
-        "vqe_summary.csv": "28e0e53546eca504d1eb72ad8f862e1b427f7df8fa3dde00605ecbd6c4edc3af",
+        "trace_0p4A.csv": "f1712e13e80f47af95284fd2585c5deded319f70e7de23bccd6e3fb9e04db75e",
+        "vqe_summary.csv": "fc962df3ac6687dac158232c9a1eaff17dc458ecb0095d716c32a151905a44fe",
     },
     ("--shots", "2000", "--optimizer", "spsa", "--seed", "5"): {
-        "trace_0p4A.csv": "05645236d791550518ad97f2402932bce924b03977b735be47f35660270c15ab",
-        "vqe_summary.csv": "4c88a8b6a60255f453085e848f1f2d581bda4d26dccdda2fa8bfc8bb644e25c3",
+        "trace_0p4A.csv": "de7b6efdd203211a6a3e0468d0eb8dd00e56324970db6af2c8115b11892f27d8",
+        "vqe_summary.csv": "cd442c49bced72d13457a4e5de2d452629578b83b95f454adf8027206909f065",
     },
     ("--exact", "--seed", "0"): {
-        "trace_0p4A.csv": "b90c58d4fdc59784e31bb42b35935982d3e4c981a4fddf0664cd46510dab6a92",
-        "vqe_summary.csv": "85d59e0202ea4994e2cbd18079bfb6e09b102cd3795920d03fd04abce27e61b9",
+        "trace_0p4A.csv": "e76365fe613b162905199bd44456db8a601a2ef47fa6673b6fda02aebad7120f",
+        "vqe_summary.csv": "ebd432d2b94331837965b7d1cc22ee66669f8599b5987230bfba161ddc86f381",
     },
 }
 
