@@ -189,23 +189,30 @@ def _stage_couplers(params: ChipParameters) -> tuple[np.ndarray, ...]:
     return couplers
 
 
+def measured_cnot(params: ChipParameters, phases) -> np.ndarray:
+    """The chip after its preparation stage, U2 @ CNOT, shape (..., 6, 6),
+    one for each row of measurement phases (..., 4) (phi5..phi8)."""
+    _, _, meas1, meas2 = _stage_couplers(params)
+    # q[..., qubit, :] holds the (rail, MZI) phases.  Measurement propagates
+    # rail phase, DC, MZI phase, DC, in the product order of `mzi_matrix`,
+    # which fixes how the result rounds.
+    q = np.asarray(phases, dtype=float).reshape(np.shape(phases)[:-1] + (2, 2))
+    meas = ((meas2 @ phase_matrix(q[..., 1]) @ meas1) @ phase_matrix(q[..., 0]))
+    return _rail_stage(meas) @ cnot_section(params)
+
+
 def chip_unitaries(params: ChipParameters, phases) -> np.ndarray:
     """Chip unitaries U = U2 @ CNOT @ U1, shape (..., 6, 6), one for each
     row of `phases` (..., 8) in place of the tunable phases of `params`."""
     p = np.asarray(phases, dtype=float)
     if p.shape[-1:] != (8,):
         raise ValueError("expected 8 tunable phases along the last axis")
-    prep1, prep2, meas1, meas2 = _stage_couplers(params)
-    # q[..., stage, qubit, :] holds the preparation (MZI, rail) and the
-    # measurement (rail, MZI) phases.  Preparation propagates DC, MZI phase,
-    # DC, rail phase; measurement mirrors it.  Each MZI keeps the product
-    # order of `mzi_matrix`, which fixes how the result rounds.
-    q = p.reshape(p.shape[:-1] + (2, 2, 2))
-    prep = (phase_matrix(q[..., 0, :, 1])
-            @ (prep2 @ phase_matrix(q[..., 0, :, 0]) @ prep1))
-    meas = ((meas2 @ phase_matrix(q[..., 1, :, 1]) @ meas1)
-            @ phase_matrix(q[..., 1, :, 0]))
-    return _rail_stage(meas) @ cnot_section(params) @ _rail_stage(prep)
+    prep1, prep2, _, _ = _stage_couplers(params)
+    # q[..., qubit, :] holds the preparation (MZI, rail) phases: DC, MZI
+    # phase, DC, rail phase, in the product order of `mzi_matrix`
+    q = p[..., :4].reshape(p.shape[:-1] + (2, 2))
+    prep = phase_matrix(q[..., 1]) @ (prep2 @ phase_matrix(q[..., 0]) @ prep1)
+    return measured_cnot(params, p[..., 4:]) @ _rail_stage(prep)
 
 
 def build_chip_unitary(params: ChipParameters) -> np.ndarray:

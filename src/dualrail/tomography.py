@@ -505,12 +505,25 @@ def simulate_dataset_from_chi(
     seed: int = 0,
     labels=None,
 ) -> QptDataset:
-    """Sample a dataset directly from a process matrix (no chip model)."""
+    """Sample a dataset directly from a process matrix (no chip model).
+
+    Unlike `run_qpt_simulation`, which draws photon pairs with
+    `sampler.sample_counts` and discards those that miss the four
+    coincidences, this draws registered coincidences only:
+    `shots_per_config` exactly per configuration, over the probabilities chi
+    predicts for the four outcomes, clipped at zero and renormalised.  A
+    process matrix describes the post-selected gate, so it gives no pair
+    number and no probability of discarding a pair.
+    """
+    if not (np.isfinite(shots_per_config)
+            and shots_per_config == int(shots_per_config) > 0):
+        raise ValueError(
+            f"shots_per_config must be a positive integer, got {shots_per_config}")
     labels = reference_config_labels() if labels is None else list(labels)
     probs = _predicted(_design_rows(labels), np.asarray(chi, dtype=complex))
     p = np.clip(probs.reshape(-1, 4), 0.0, None)
     draws = np.random.default_rng(seed).multinomial(
-        shots_per_config, p / p.sum(axis=1, keepdims=True))
+        int(shots_per_config), p / p.sum(axis=1, keepdims=True))
     return QptDataset(tuple(zip(labels, draws.tolist())))
 
 

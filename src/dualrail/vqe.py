@@ -11,11 +11,20 @@ f~0..f~7.  Each preparation stage carries one photon, so every raw
 coincidence probability is a + b cos phi + c sin phi in each of the four
 preparation phases, and `run_vqe` minimizes over one phase at a time in
 closed form, with exact probabilities and with sampled counts alike.
+
+The ansatz phases enter only the preparation stage, so the forward model
+splits there.  Everything after it, the CNOT section and the measurement
+stage of each basis, is folded once per chip into a tensor of 2x2
+permanents (`_amplitude_tensor`, cached).  Each evaluation then needs only the two
+photons' rail amplitudes out of their preparation stages and one
+contraction with that tensor (`_probabilities`); the generic
+`optics.chip_unitaries` path is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,7 +177,52 @@ def exact_expectation(h: PauliHamiltonian, phases) -> float:
     return float(np.real(np.vdot(psi, h.matrix() @ psi)))
 
 
-def _measure(chip, h_proj, stack, shots_per_basis, rng):
+@lru_cache(maxsize=16)
+def _amplitude_tensor(chip: optics.ChipParameters) -> np.ndarray:
+    """Two-photon amplitudes T[s, slot, a, b], shape (2, 4, 2, 2), of the
+    chip after its preparation stage, in the hh (s = 0) and dd (s = 1) bases.
+
+    With V_s = `optics.measured_cnot` at the measurement phases of basis s,
+    T[s, slot, a, b] = Perm V_s[(i, j), (a, b)] for the output pair (i, j)
+    of each count slot, a on the qubit-1 rails and b on the qubit-2 rails.
+    Photons entering the CNOT section in rail states w1 and w2 leave in
+    (i, j) with amplitude sum_ab T[s, slot, a, b] w1[a] w2[b]: the permanent
+    of the chip's 2x2 submatrix is bilinear in its two columns.  Cached per
+    chip like `optics.cnot_section` (a VQE run and its final re-measurement
+    share one), so the array is read-only.
+    """
+    v = optics.measured_cnot(chip, [HH_MEAS_PHASES, DD_MEAS_PHASES])
+    # rows[s, slot] is the output pair (i, j), cols[a, b] the input (a, b)
+    rows = np.array(sampler._COINCIDENCE_MODES)[_COUNT_ORDER[0]]
+    cols = np.stack(np.meshgrid(optics.QUBIT1_RAILS, optics.QUBIT2_RAILS,
+                                indexing="ij"), axis=-1)
+    sub = v[np.arange(2)[:, None, None, None, None, None],
+            rows[:, :, None, None, :, None], cols[:, :, None, :]]
+    tensor = sampler._perm2(sub)
+    tensor.setflags(write=False)
+    return tensor
+
+
+def _probabilities(chip, tensor, stack) -> np.ndarray:
+    """Coincidence probabilities (K, 2, 4) in count order, hh then dd, for
+    ansatz phases (K, 4), from the amplitude tensor of `chip`.
+
+    Each photon enters the first rail of its qubit, so its preparation stage
+    P(rail) DC P(MZI) DC sends it into the CNOT section as that product's
+    column 0.  The outputs are singly occupied and the photons
+    indistinguishable, so each probability is |amplitude|^2, rounded as
+    `sampler.coincidence_probabilities` rounds it at x = 1.
+    """
+    prep1, prep2, _, _ = optics._stage_couplers(chip)
+    q = stack.reshape(-1, 2, 2)   # (K, qubit, (MZI, rail)) phases
+    w = (prep2 @ optics.phase_matrix(q[..., 0]) @ prep1[..., :1])[..., 0]
+    w[..., 0] *= np.exp(1j * q[..., 1])
+    amp = np.einsum("xab,ka,kb->kx", tensor.reshape(8, 2, 2),
+                    w[:, 0], w[:, 1]).reshape(-1, 2, 4)
+    return np.float_power(np.hypot(amp.real, amp.imag), 2)
+
+
+def _measure(chip, tensor, h_proj, stack, shots_per_basis, rng):
     """Raw data (K, 2, 4) in count order, hh then dd, for ansatz phases
     (K, 4), and their K (energy, hh record, dd record) triples.  The raw
     data are the coincidence probabilities, or counts drawn from them row by
@@ -176,13 +230,7 @@ def _measure(chip, h_proj, stack, shots_per_basis, rng):
     if shots_per_basis is not None and shots_per_basis <= 0:
         raise ValueError(
             f"shots_per_basis must be positive, got {shots_per_basis}")
-    meas = np.array([HH_MEAS_PHASES, DD_MEAS_PHASES])
-    phases = np.concatenate(
-        [np.repeat(stack[:, None, :], 2, axis=1),
-         np.broadcast_to(meas, (len(stack), 2, 4))], axis=-1)
-    probs = sampler.coincidence_probabilities(
-        optics.chip_unitaries(chip, phases), 1.0)
-    data = np.take_along_axis(probs, _COUNT_ORDER, axis=-1)
+    data = _probabilities(chip, tensor, stack)
     if shots_per_basis is None:
         recorded = _post_selected(data)
     else:
@@ -208,7 +256,7 @@ def measure_energy(
     counts: the sampled counts C1..C4, or with shots_per_basis None the
     exact post-selected probabilities P1..P4.  `ansatz_phases` of shape (4,)
     gives one such triple; a stack (K, 4) gives a list of K triples, from one
-    forward-model call over all 2K configurations and one draw of counts,
+    forward-model call over both bases and one draw of counts,
     row by row and hh before dd, so a stack consumes `rng` exactly as K
     single calls in a row would.
     """
@@ -221,7 +269,8 @@ def measure_energy(
         raise ValueError(f"ansatz phases must be finite, got {bad}")
     if shots_per_basis is not None and rng is None:
         raise ValueError("sampled estimation needs an rng")
-    _, results = _measure(chip, h_proj, np.atleast_2d(a), shots_per_basis, rng)
+    _, results = _measure(chip, _amplitude_tensor(chip), h_proj,
+                          np.atleast_2d(a), shots_per_basis, rng)
     return results[0] if a.ndim == 1 else results
 
 
@@ -307,6 +356,7 @@ def run_vqe(
     slack = 1e-9 if exact else 0.0
     bounds = (spectrum[0] - slack, spectrum[-1] + slack)
     rng = np.random.default_rng(seed)
+    tensor = _amplitude_tensor(chip)
     trace = VqeTrace()
 
     def record(phases, energy, rec_hh, rec_dd):
@@ -324,7 +374,8 @@ def run_vqe(
     for step in range((max_evaluations - 1) // 3):
         k = step % 4
         points = np.mod(x + np.outer(_SHIFTS, np.eye(4)[k]), TWO_PI)
-        raw, results = _measure(chip, h_proj, points, shots_per_basis, rng)
+        raw, results = _measure(chip, tensor, h_proj, points,
+                                shots_per_basis, rng)
         for row, triple in zip(points, results):
             record(row, *triple)
         shift, energy = _coordinate_minimum(h_proj, raw, exact)

@@ -136,7 +136,7 @@ def test_chip_unitaries_rows_bit_exact_across_stack_sizes(ratios, static, seed):
     phases = np.random.default_rng(seed).uniform(-7.0, 7.0, (4, 8))
     full = optics.chip_unitaries(chip, phases)
     assert np.array_equal(full, uncached_chip_unitaries(chip, phases))
-    # the (K, 2, 8) layout of vqe.measure_energy
+    # a (K, 2, 8) stack
     assert np.array_equal(
         optics.chip_unitaries(chip, phases.reshape(2, 2, 8)).reshape(4, 6, 6),
         full)
@@ -175,6 +175,30 @@ def test_measure_energy_stack_equals_single_calls(seed, k, shots):
         assert e_a == e_b
         assert hh_a == hh_b and dd_a == dd_b
     assert rng_stack.bit_generator.state == rng_single.bit_generator.state
+
+
+@SETTINGS
+@given(seed=seeds, sigma=st.floats(0.0, 0.05),
+       static=st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=2),
+       k=st.integers(1, 8))
+def test_vqe_probabilities_match_chip_unitaries(seed, sigma, static, k):
+    # the amplitude tensor path of run_vqe against the generic one: 6x6
+    # chip unitaries at the full phase settings of both bases, then 2x2
+    # permanents, in count order
+    rng = np.random.default_rng(seed)
+    chip = (optics.ChipParameters.ideal().perturbed(sigma, rng)
+            .with_static_phases(*static))
+    stack = rng.uniform(-7.0, 7.0, (k, 4))
+    meas = np.array([vqe.HH_MEAS_PHASES, vqe.DD_MEAS_PHASES])
+    phases = np.concatenate([np.repeat(stack[:, None], 2, axis=1),
+                             np.broadcast_to(meas, (k, 2, 4))], axis=-1)
+    reference = np.take_along_axis(
+        sampler.coincidence_probabilities(optics.chip_unitaries(chip, phases),
+                                          1.0),
+        vqe._COUNT_ORDER, axis=-1)
+    probs = vqe._probabilities(chip, vqe._amplitude_tensor(chip), stack)
+    assert probs.shape == (k, 2, 4)
+    assert np.max(np.abs(probs - reference)) <= 1e-15
 
 
 @SETTINGS

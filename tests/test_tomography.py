@@ -327,6 +327,19 @@ class TestSimulationAndIo:
         totals = [sum(c) for _, c in dataset.records]
         assert 1700 < np.mean(totals) < 2300
 
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, np.nan, np.inf])
+    def test_chi_simulation_needs_positive_integer_shots(self, shots):
+        with pytest.raises(ValueError, match="shots_per_config"):
+            tomo.simulate_dataset_from_chi(tomo.ideal_cnot_chi(),
+                                           shots_per_config=shots)
+
+    def test_chi_simulation_draws_exact_totals(self):
+        dataset = tomo.simulate_dataset_from_chi(tomo.ideal_cnot_chi(),
+                                                 shots_per_config=37.0, seed=2)
+        assert dataset == tomo.simulate_dataset_from_chi(
+            tomo.ideal_cnot_chi(), shots_per_config=37, seed=2)
+        assert {sum(c) for _, c in dataset.records} == {37}
+
     def test_csv_round_trip(self):
         dataset = tomo.load_reference_counts()
         text = tomo.dataset_to_csv(dataset)
