@@ -1,11 +1,11 @@
 """Scoped one-thread limit for the OpenBLAS builds that numpy and scipy load.
 
-The tomography fit's Newton steps (256x256 products, a 257x257 solve) round
-differently on two threads: on 2 vCPUs, `OPENBLAS_NUM_THREADS=2` changed the
-fitted chi's bits on all three datasets tried, and was no faster.  So the fit
-runs on one thread, whatever the caller's setting.  The limit holds only
-inside `single_thread()`; the caller's counts come back on exit.  Where no
-OpenBLAS is loaded (another OS, MKL) it does nothing.
+The tomography fit's interior-point iterations (256x256 products, two 257x257
+solves each) round differently on two threads: on 2 vCPUs, two OpenBLAS
+threads changed the fitted chi's bits on all four datasets tried, and were no
+faster.  So the fit runs on one thread, whatever the caller's setting.  The
+limit holds only inside `single_thread()`; the caller's counts come back on
+exit.  Where no OpenBLAS is loaded (another OS, MKL) it does nothing.
 """
 
 from __future__ import annotations

@@ -243,6 +243,9 @@ def cmd_qpt(settings) -> int:
     run.write("chi_real.csv", real_csv)
     run.write("chi_imag.csv", imag_csv)
     run.write("chi_eigenvalues.csv", eig_csv)
+    run.write("residuals.csv", "config,r1,r2,r3,r4\n" + "".join(
+        label + "," + ",".join(f"{v:.12g}" for v in row) + "\n"
+        for label, row in zip(dataset.labels(), result.residuals)))
     run.write(
         "summary.txt",
         f"source = {source}\n"

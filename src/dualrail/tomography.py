@@ -298,11 +298,8 @@ def efficiency_routing_phases() -> list[tuple[float, ...]]:
 
 _UPPER = np.triu_indices(16, 1)
 _GAP_TOL = 1e-10      # converged: the cost is at most this above the optimum
-_MU = 30.0            # factor on the barrier weight t once centered
-_CENTERED = 1e-6      # half the squared Newton decrement that counts as centered
-_MAX_STEPS = 500
-_MAX_HALVINGS = 60
-_ARMIJO = 0.25
+_BOUNDARY = 0.98      # share of the way to the cone's boundary a step may go
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -311,7 +308,7 @@ class MleResult:
     cost: float
     residuals: np.ndarray
     converged: bool       # gap <= _GAP_TOL
-    n_iterations: int     # Newton steps
+    n_iterations: int     # interior-point iterations
     gap: float            # Frank-Wolfe gap: bounds cost - optimal cost
 
 
@@ -355,9 +352,6 @@ def _hermitian(x):
     return m
 
 
-_EYE = _coords(np.eye(16))
-
-
 def _design(u_rows):
     """Rows d_j with d_j . coords(chi) = u_j^dag chi u_j."""
     return _coords(u_rows[:, :, None] * u_rows.conj()[:, None, :])
@@ -372,62 +366,84 @@ def _linear_inversion_start(u_rows, q):
     return 0.99 * chi / np.real(np.trace(chi)) + 0.01 * np.eye(16) / 16.0
 
 
-def _newton_direction(hess, trace_row, grad_f, t):
-    """Newton step dy of t f - log det at Y = 0, and its squared decrement."""
-    kkt = np.block([[t * hess + np.eye(256), trace_row[:, None]],
-                    [trace_row[None, :], np.zeros((1, 1))]])
-    g = t * grad_f - _EYE
-    dy = np.linalg.solve(kkt, np.append(-g, 0.0))[:256]
-    return dy, -(g @ dy)
+def _newton_direction(kkt, rhs, trace_resid):
+    """(dX, dnu) with (H + I) dx - dnu a = rhs and a . dx = trace_resid."""
+    sol = np.linalg.solve(kkt, np.append(rhs, trace_resid))
+    return _hermitian(sol[:256]), -sol[256]
+
+
+def _step_length(lam, dx, dz):
+    """One step length s <= 1 for diag(lam) + s dx and diag(lam) + s dz that
+    goes at most `_BOUNDARY` of the way to the cone's boundary for both."""
+    w = lam ** -0.5
+    least = min(np.linalg.eigvalsh(w[:, None] * d * w)[0] for d in (dx, dz))
+    return min(1.0, _BOUNDARY / -least) if least < 0.0 else 1.0
 
 
 def minimize(u_rows, q):
     """Minimize f(chi) = sum_j (u_j^dag chi u_j - q_j)^2 over chi >= 0, Tr chi = 1.
 
-    Log-barrier Newton steps on t f(chi) - log det chi, with Tr chi = 1 as a
-    KKT row (Boyd & Vandenberghe, *Convex Optimization*, ch. 11); t grows by
-    `_MU` once chi is centered.  A step works in the frame L (I + Y) L^H of
-    chi = L L^H, where the barrier's Hessian is the identity.  The solve
-    stops when the Frank-Wolfe gap <G, chi> - lambda_min(G), G = grad f, is
-    <= `_GAP_TOL`; it bounds f(chi) - min f.  Returns (chi, Newton steps, gap).
+    A primal-dual interior-point solve of the optimality conditions
+    grad f(chi) = Z + nu I, chi Z = 0, chi >= 0, Z >= 0, Tr chi = 1, where
+    the dual matrix Z and the multiplier nu of the trace row start at
+    grad f - nu I with smallest eigenvalue the starting gap.  Each iteration
+    works in the Nesterov-Todd frame F = L Q diag(zeta)^(-1/4), from
+    chi = L L^H and L^H Z L = Q diag(zeta) Q^H, where both chi and Z are
+    diag(lam), lam = sqrt(zeta) (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 769
+    (1998)).  There the Newton system is (H + I) dx - dnu a = -grad f + nu a
+    + coords(sigma mu / lam - corrector), with H and a the Hessian and the
+    trace row in that frame, and dz = sigma mu / lam - lam - corrector - dx.
+    The affine predictor (sigma = 0) sets sigma = (mu_aff / mu)^3 and the
+    second-order corrector of Mehrotra (SIAM J. Optim. 2, 575 (1992)).
+    Primal and dual move by one step length, as befits a quadratic cost,
+    whose dual residual moves with the primal step.  The solve stops when
+    the Frank-Wolfe gap <G, chi> - lambda_min(G), G = grad f, is
+    <= `_GAP_TOL`; it bounds f(chi) - min f.  Returns (chi, iterations, gap).
     """
     chi = _linear_inversion_start(u_rows, q)
-    t = None
+    chol = np.linalg.cholesky(chi)
+    nu = None
     steps = 0
     while True:
         p = _predicted(u_rows, chi)
         r = p - q
         grad = 2.0 * (u_rows.T * r) @ u_rows.conj()
-        gap = float(2.0 * (r @ p) - np.linalg.eigvalsh(grad)[0])
+        least = np.linalg.eigvalsh(grad)[0]
+        gap = float(2.0 * (r @ p) - least)
         if gap <= _GAP_TOL or steps == _MAX_STEPS:
             break
-        if t is None:
-            t = 16.0 / gap   # the barrier's own duality gap is 16 / t
-        chol = np.linalg.cholesky(chi)
-        design = _design(u_rows @ chol.conj())   # rows L^H u_j
-        hess = 2.0 * design.T @ design
-        grad_f = 2.0 * design.T @ r
-        trace_row = _coords(chol.conj().T @ chol)   # Tr(L Y L^H) = 0
-        dy, lam2 = _newton_direction(hess, trace_row, grad_f, t)
-        if lam2 <= 2.0 * _CENTERED:
-            t *= _MU
-            dy, lam2 = _newton_direction(hess, trace_row, grad_f, t)
-        # backtrack on the closed-form change of t f - log det along s Y
-        step_y = _hermitian(dy)
-        eigs = np.linalg.eigvalsh(step_y)
-        dp = design @ dy
-        slope, curve = 2.0 * (r @ dp), dp @ dp
-        s = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if np.all(1.0 + s * eigs > 0.0) and \
-                    t * s * (slope + s * curve) - np.sum(np.log1p(s * eigs)) \
-                    <= -_ARMIJO * s * lam2:
-                break
-            s *= 0.5
-        else:
-            break
-        step = chol @ step_y @ chol.conj().T
-        chi = chi + (0.5 * s) * (step + step.conj().T)
+        if nu is None:
+            nu = least - gap
+            dual = chol.conj().T @ (grad - nu * np.eye(16)) @ chol   # L^H Z L
+        zeta, rot = np.linalg.eigh(dual)
+        lam = np.sqrt(zeta)
+        scaled = np.diag(lam)   # chi and Z in the frame
+        frame = (chol @ rot) * zeta ** -0.25
+        design = _design(u_rows @ frame.conj())   # rows F^H u_j
+        trace_row = _coords(frame.conj().T @ frame)   # Tr(F X F^H) = a . x
+        kkt = np.block([[2.0 * design.T @ design + np.eye(256), trace_row[:, None]],
+                        [trace_row[None, :], np.zeros((1, 1))]])
+        rhs = nu * trace_row - 2.0 * design.T @ r
+        trace_resid = 1.0 - np.real(np.trace(chi))
+        dx, _ = _newton_direction(kkt, rhs, trace_resid)
+        dz = -scaled - dx
+        s = _step_length(lam, dx, dz)
+        mu = lam @ lam / 16.0
+        mu_aff = np.real(np.vdot(scaled + s * dx, scaled + s * dz)) / 16.0
+        # sigma mu Lam^-1 - corrector, with corrector = L^-1(sym(dX dZ)) for
+        # L(M) = (Lam M + M Lam) / 2
+        prod = dx @ dz
+        comp = np.diag((mu_aff / mu) ** 3 * mu / lam) \
+            - (prod + prod.conj().T) / (lam[:, None] + lam)
+        dx, dnu = _newton_direction(kkt, rhs + _coords(comp), trace_resid)
+        dz = comp - scaled - dx
+        s = _step_length(lam, dx, dz)
+        c = np.linalg.cholesky(scaled + s * dx)
+        chol = frame @ c
+        dual = c.conj().T @ (scaled + s * dz) @ c
+        nu += s * dnu
+        chi = chol @ chol.conj().T
+        chi = 0.5 * (chi + chi.conj().T)
         steps += 1
     return chi, steps, gap
 
@@ -437,9 +453,11 @@ def mle_reconstruct(dataset: QptDataset, efficiencies=None) -> MleResult:
 
     Counts are multiplied by the detection efficiencies, normalized per
     configuration, and fit by minimizing sum (P_theory - P_experiment)^2
-    with one certified convex solve, `minimize`, called through the module
-    attribute that the benchmark's tracer wraps by name.  The solve runs
-    OpenBLAS on one thread (see `_blas`) and restores the caller's count.
+    with one primal-dual interior-point solve, `minimize`, that certifies
+    its optimality gap; it is called through the module attribute that the
+    benchmark's tracer wraps by name.  The solve runs OpenBLAS on one thread
+    (see `_blas`) and restores the caller's count.  `residuals` holds
+    P_theory - P_experiment, one row of four outcomes per configuration.
     """
     if len(dataset) < 64:
         raise ValueError(
@@ -455,6 +473,19 @@ def mle_reconstruct(dataset: QptDataset, efficiencies=None) -> MleResult:
 
 # ---------------------------------------------------------------------------
 # simulated experiments
+
+
+def _shot_count(shots_per_config) -> int:
+    """`shots_per_config` as an int, if it is a positive integer; a bool is not."""
+    try:
+        if not isinstance(shots_per_config, (bool, np.bool_)) \
+                and np.isfinite(shots_per_config) \
+                and shots_per_config == int(shots_per_config) > 0:
+            return int(shots_per_config)
+    except (TypeError, ValueError):   # e.g. a string
+        pass
+    raise ValueError(
+        f"shots_per_config must be a positive integer, got {shots_per_config!r}")
 
 
 def simulate_config_probabilities(
@@ -484,8 +515,7 @@ def run_qpt_simulation(
     post-selection success of the ideal gate.  Optional per-detector
     efficiencies thin the four outcomes before sampling.
     """
-    if shots_per_config <= 0:
-        raise ValueError("shots_per_config must be positive")
+    shots = _shot_count(shots_per_config)
     labels = reference_config_labels() if labels is None else list(labels)
     eta = np.ones(4) if detector_efficiencies is None \
         else np.asarray(detector_efficiencies, dtype=float)
@@ -494,7 +524,7 @@ def run_qpt_simulation(
     phases = [config_phase_settings(label, phase_bias) for label in labels]
     probs = sampler.coincidence_probabilities(
         optics.chip_unitaries(chip, np.reshape(phases, (-1, 8))), x) * eta
-    counts = sampler.sample_counts(probs, 9 * shots_per_config,
+    counts = sampler.sample_counts(probs, 9 * shots,
                                    np.random.default_rng(seed))
     return QptDataset(tuple(zip(labels, counts.tolist())))
 
@@ -515,15 +545,12 @@ def simulate_dataset_from_chi(
     process matrix describes the post-selected gate, so it gives no pair
     number and no probability of discarding a pair.
     """
-    if not (np.isfinite(shots_per_config)
-            and shots_per_config == int(shots_per_config) > 0):
-        raise ValueError(
-            f"shots_per_config must be a positive integer, got {shots_per_config}")
+    shots = _shot_count(shots_per_config)
     labels = reference_config_labels() if labels is None else list(labels)
     probs = _predicted(_design_rows(labels), np.asarray(chi, dtype=complex))
     p = np.clip(probs.reshape(-1, 4), 0.0, None)
     draws = np.random.default_rng(seed).multinomial(
-        int(shots_per_config), p / p.sum(axis=1, keepdims=True))
+        shots, p / p.sum(axis=1, keepdims=True))
     return QptDataset(tuple(zip(labels, draws.tolist())))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dualrail import cli
+from dualrail import cli, tomography
 from dualrail.errors import ConvergenceError
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -81,8 +81,38 @@ class TestCommandsSucceed:
         fid = float(summary.splitlines()[4].rsplit("=", 1)[1])
         assert fid > 0.98
         for name in ("dataset.csv", "chi_real.csv", "chi_imag.csv",
-                     "chi_eigenvalues.csv"):
+                     "chi_eigenvalues.csv", "residuals.csv"):
             assert (out / name).exists()
+
+    # both fits have a rank-deficient optimum that the data determine (the
+    # tomography item of ROADMAP.md), so any solver that certifies its gap
+    # must write these digits; the second argv is the benchmark's defect chip
+    @pytest.mark.parametrize("argv, fidelity, cost", [
+        (["qpt"], "0.941632", "1.911469e-01"),
+        (["qpt", "--simulate", "--starts", "1", "--r5", "0.45", "--theta1", "0.2",
+          "--phase-bias", "0.05", "--x", "0.978", "--seed", "3"],
+         "0.964793", "2.630324e-02"),
+    ], ids=["bundled", "defect_chip"])
+    def test_qpt_unique_optimum(self, tmp_path, argv, fidelity, cost):
+        out = tmp_path / "qpt"
+        assert run(argv + ["--out", str(out)]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert f"fidelity_vs_ideal_cnot = {fidelity}" in lines
+        assert f"final_cost = {cost}" in lines
+        assert "converged = True" in lines
+
+    def test_qpt_writes_residuals(self, tmp_path):
+        out = tmp_path / "qpt"
+        assert run(["qpt", "--out", str(out)]) == 0
+        lines = [l for l in (out / "residuals.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0] == "config,r1,r2,r3,r4"
+        rows = [line.split(",") for line in lines[1:]]
+        dataset = tomography.load_reference_counts()
+        assert [row[0] for row in rows] == dataset.labels()
+        result = tomography.mle_reconstruct(dataset)
+        assert [[float(v) for v in row[1:]] for row in rows] == \
+            [[float(f"{v:.12g}") for v in four] for four in result.residuals]
 
     def test_vqe_exact(self, tmp_path):
         out = tmp_path / "vqe"

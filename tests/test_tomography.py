@@ -40,6 +40,7 @@ def check_certificate(dataset):
     tomo.check_chi(result.chi)
     gap = frank_wolfe_gap(dataset, result.chi)
     assert result.converged
+    assert result.n_iterations <= 30
     assert gap <= 1e-10
     assert abs(result.gap - gap) < 1e-12
     u_rows = tomo._design_rows(dataset.labels())
@@ -249,15 +250,25 @@ class TestReconstruction:
         result = check_certificate(dataset)
         assert result.cost <= 1.02618e-05
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=5)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_unitaries=st.integers(1, 4),
-           shots=st.sampled_from([200, 2000, 100000]))
+           shots=st.sampled_from([200, 2000, 5000, 100000]))
     def test_certified_on_unitary_mixtures(self, seed, n_unitaries, shots):
         rng = np.random.default_rng(seed)
         weights = rng.dirichlet(np.ones(n_unitaries))
         chi_true = sum(w * random_chi_unitary(rng) for w in weights)
         check_certificate(tomo.simulate_dataset_from_chi(
             chi_true, shots_per_config=shots, seed=seed))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_certified_on_kraus_maps(self, rank):
+        # trace-preserving maps of Kraus rank 2 and 3, the blocks of a
+        # random isometry: rank-deficient optima like the chip's
+        isometry = random_unitary(4 * rank, np.random.default_rng(60 + rank))[:, :4]
+        chi_true = tomo.chi_from_kraus(np.split(isometry, rank))
+        tomo.check_chi(chi_true)
+        check_certificate(tomo.simulate_dataset_from_chi(
+            chi_true, shots_per_config=5000, seed=rank))
 
     def test_coverage_error(self):
         dataset = tomo.load_reference_counts()
@@ -327,11 +338,17 @@ class TestSimulationAndIo:
         totals = [sum(c) for _, c in dataset.records]
         assert 1700 < np.mean(totals) < 2300
 
-    @pytest.mark.parametrize("shots", [0, -5, 2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, np.nan, np.inf, True])
     def test_chi_simulation_needs_positive_integer_shots(self, shots):
         with pytest.raises(ValueError, match="shots_per_config"):
             tomo.simulate_dataset_from_chi(tomo.ideal_cnot_chi(),
                                            shots_per_config=shots)
+
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, np.nan, np.inf, True, "10"])
+    def test_chip_simulation_needs_positive_integer_shots(self, shots):
+        with pytest.raises(ValueError, match="shots_per_config"):
+            tomo.run_qpt_simulation(optics.ChipParameters.ideal(),
+                                    shots_per_config=shots)
 
     def test_chi_simulation_draws_exact_totals(self):
         dataset = tomo.simulate_dataset_from_chi(tomo.ideal_cnot_chi(),
