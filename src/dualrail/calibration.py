@@ -24,10 +24,10 @@ CROSSTALK_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7))
 
 TWO_PI = 2.0 * np.pi
 
-# sweep fit: golden-section ratio, and how many grid steps the alpha bracket
-# may walk past the ends of its FFT-centred grid
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_MAX_WALK = 100
+# sweep fit: a scan tries alpha at centre + k * step for k in _SCAN; the
+# sixth, at a step of 5e-7 alpha, can be the last, which leaves 14 to walk
+_SCAN = np.arange(-10, 11)
+_MAX_SCANS = 20
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,8 @@ def simulate_sweep(
         raise ValueError("need C <= B for nonnegative power")
     if c < 0:
         raise ValueError("need C >= 0")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     powers = fringe_model(currents, b, c, phi0, alpha)
     if noise_sigma > 0.0:
         if rng is None:
@@ -233,16 +235,22 @@ def _wrap_angle(phi: float) -> float:
     return float(np.pi if out == -np.pi else out)
 
 
-def _linear_solve_for_alpha(s, y, alpha):
-    """Best (B, C, phi0) for fixed alpha; the model is linear there."""
-    cols = np.column_stack([np.ones_like(s), np.cos(alpha * s), np.sin(alpha * s)])
-    coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    b, cc, cs = coef
-    c = float(np.hypot(cc, cs))
-    # B - C cos(phi0 + a s) = B - C cos(phi0) cos(a s) + C sin(phi0) sin(a s)
-    phi0 = float(np.arctan2(cs, -cc))
-    resid = y - cols @ coef
-    return b, c, phi0, float(resid @ resid)
+def _linear_fits(s, y, alphas):
+    """Residuals, their slopes in alpha and coefficients (B, C cos phi0,
+    C sin phi0) of the least-squares fits of y by B - C cos(phi0 + alpha s),
+    one per alpha, by Householder QR: the normal equations would square the
+    condition number of the columns [1, cos alpha s, sin alpha s]."""
+    phase = np.multiply.outer(alphas, s)
+    cos, sin = np.cos(phase), np.sin(phase)
+    q, r = np.linalg.qr(np.stack([np.ones_like(phase), -cos, sin], axis=-1))
+    qty = (y @ q)[..., None]
+    resid = y - (q @ qty)[..., 0]
+    coef = np.linalg.solve(r, qty)[..., 0]
+    # the coefficients minimize the residual, so its slope in alpha is that
+    # of the model at fixed coefficients (Golub & Pereyra)
+    model_slope = s * (coef[:, 1:2] * sin + coef[:, 2:3] * cos)
+    return (np.einsum("kn,kn->k", resid, resid),
+            -2.0 * np.einsum("kn,kn->k", resid, model_slope), coef)
 
 
 def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit:
@@ -251,17 +259,17 @@ def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit
     The fringe B - C cos(phi0 + alpha I^2) is linear in (B, C cos phi0,
     C sin phi0) once alpha is fixed, so the fit minimizes the residual of
     that linear solve over alpha alone (variable projection: Golub & Pereyra,
-    SIAM J. Numer. Anal. 10, 413 (1973)).  The fringe is periodic in
-    alpha * I^2, so alpha is seeded from the dominant FFT frequency of the
-    power trace over the I^2 axis (after resampling to a uniform grid) and
-    scanned on a surrounding grid.  Over few fringes the FFT peak can be a
-    bin off, so while the lowest grid point is an end point the scan walks
-    on outward in grid steps.  A golden-section search then refines alpha
-    between the lowest point's neighbours to 1e-12 relative.  The result is
-    canonical by construction: C >= 0, alpha > 0, phi0 in (-pi, pi].  Flat
-    traces return C ~ 0 with the degenerate flag set.  Raises
-    ConvergenceError when the walk brackets no minimum within `_MAX_WALK`
-    steps or the result is not finite.
+    SIAM J. Numer. Anal. 10, 413 (1973)).  Alpha is seeded from the dominant
+    FFT frequency of the trace over a uniform I^2 grid, then scanned at 21
+    values in one batched solve, first the seed +-50% in steps of 5%.  While
+    the lowest residual is at an end of its scan (alpha > 0 only), the next
+    scan is centred there; otherwise with a tenfold smaller step, down to
+    1e-6 alpha.  Within about 1e-8 alpha of the minimum the residual is flat
+    to rounding but its slope is not, so one Newton step on the slope places
+    alpha.  C >= 0, alpha > 0 and phi0 in (-pi, pi]; flat traces return
+    C ~ 0 with the degenerate flag set.  Raises ConvergenceError when
+    `_MAX_SCANS` scans find no interior minimum, as for a residual falling
+    towards alpha = 0, or when the result is not finite.
     """
     x = sweep.currents
     y = sweep.powers
@@ -281,46 +289,35 @@ def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit
     y_grid = np.interp(s_grid, s, y)
     spectrum = np.abs(np.fft.rfft(y_grid - y_grid.mean()))
     freqs = np.fft.rfftfreq(n_grid, d=(s_grid[1] - s_grid[0]))
-    alpha_fft = TWO_PI * freqs[int(np.argmax(spectrum[1:])) + 1]
+    alpha = TWO_PI * freqs[int(np.argmax(spectrum[1:])) + 1]
 
-    def cost(alpha):
-        return _linear_solve_for_alpha(s, y, alpha)[3]
-
-    grid = alpha_fft * np.linspace(0.5, 1.5, 21)
-    costs = [cost(alpha) for alpha in grid]
-    k = int(np.argmin(costs))
-    centre, f_centre = grid[k], costs[k]
-    # walk on outward while the lowest point is an end of the grid
-    step = grid[1] - grid[0]
-    direction = (k == grid.size - 1) - (k == 0)
-    for _ in range(_MAX_WALK):
-        ahead = centre + direction * step
-        f_ahead = cost(ahead) if direction and ahead > 0 else np.inf
-        if not f_ahead < f_centre:
+    step = 0.05 * alpha
+    for _ in range(_MAX_SCANS):
+        alphas = alpha + step * _SCAN
+        alphas = alphas[alphas > 0.0]
+        residuals, slopes, _ = _linear_fits(s, y, alphas)
+        k = int(np.argmin(residuals))
+        alpha = alphas[k]
+        if k in (0, alphas.size - 1):
+            continue
+        if step <= 1e-6 * alpha:
             break
-        centre, f_centre = ahead, f_ahead
+        step /= 10.0
     else:
         raise ConvergenceError(
-            f"sweep fit bracketed no minimum within {_MAX_WALK} grid steps",
-            residual=float(f_centre),
+            f"sweep fit found no interior minimum within {_MAX_SCANS} scans",
+            residual=float(residuals[k]),
         )
 
-    # golden-section search: centre lies inside and costs less than both ends
-    lo, hi = max(centre - step, 0.0), centre + step
-    a1, a2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = cost(a1), cost(a2)
-    while hi - lo > 1e-12 * hi:
-        if f1 <= f2:
-            hi, a2, f2 = a2, a1, f1
-            a1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = cost(a1)
-        else:
-            lo, a1, f1 = a1, a2, f2
-            a2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = cost(a2)
-    alpha = a1 if f1 <= f2 else a2
-
-    b, c, phi0, residual = _linear_solve_for_alpha(s, y, alpha)
+    # the minimum lies within a step of alpha; the slope's derivative is
+    # taken across the neighbours
+    alpha -= np.clip(2.0 * step * slopes[k] / (slopes[k + 1] - slopes[k - 1]),
+                     -step, step)
+    residuals, _, coefs = _linear_fits(s, y, np.array([alpha]))
+    b, cc, cs = coefs[0]
+    c = float(np.hypot(cc, cs))
+    phi0 = float(np.arctan2(cs, cc))
+    residual = float(residuals[0])
     if not np.all(np.isfinite([b, c, phi0, alpha, residual])):
         raise ConvergenceError("sweep fit did not converge", residual=residual)
     degenerate = c < degenerate_tol * max(abs(b), 1.0)

@@ -51,13 +51,25 @@ _DEFAULTS = {
     "starts": 4,   # ignored by the fit; kept because every setting is hashed
 }
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
 _CASTS = {
     "seed": int, "shots": int, "samples": int, "x_points": int, "starts": int,
     "x": float, "ratio_sigma": float, "r5": float, "r9": float,
     "theta1": float, "phase_bias": float, "noise": float, "ratio_dev": float,
-    "simulate": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "exact": lambda v: str(v).lower() in ("1", "true", "yes"),
+    "simulate": _boolean, "exact": _boolean,
 }
+
+# the values a setting may take, for flags and config files alike
+_CHOICES = {"optimizer": ("nelder-mead", "spsa"), "units": ("mA", "relative")}
 
 
 def _resolve(args) -> dict:
@@ -67,7 +79,13 @@ def _resolve(args) -> dict:
             key = key.replace("-", "_")
             if key not in settings:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _CASTS.get(key, str)(val)
+            try:
+                settings[key] = _CASTS.get(key, str)(val)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            if key in _CHOICES and settings[key] not in _CHOICES[key]:
+                raise ValueError(f"config key {key!r} must be one of "
+                                 f"{', '.join(_CHOICES[key])}, got {val!r}")
     for key in settings:
         val = getattr(args, key, None)
         if val is not None and val is not False:
@@ -106,10 +124,13 @@ class _Run:
 def _chip_from_settings(settings, rng=None) -> optics.ChipParameters:
     chip = (optics.load_chip_parameters(settings["chip"])
             if settings["chip"] else optics.ChipParameters.ideal())
-    if settings["ratio_sigma"] > 0.0:
+    sigma = settings["ratio_sigma"]
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"ratio_sigma must be finite and >= 0, got {sigma}")
+    if sigma > 0.0:
         if rng is None:
             raise ValueError("ratio_sigma perturbation needs the run rng")
-        chip = chip.perturbed(settings["ratio_sigma"], rng)
+        chip = chip.perturbed(sigma, rng)
     if settings["r5"] is not None:
         chip = chip.with_ratio(5, settings["r5"])
     if settings["r9"] is not None:
@@ -199,6 +220,9 @@ def cmd_calibrate(settings) -> int:
 
 
 def cmd_hom(settings) -> int:
+    if settings["x_points"] < 2:
+        raise ValueError(f"a HOM curve needs at least 2 overlap points "
+                         f"(x_points), got {settings['x_points']}")
     run = _Run("hom", settings)
     chip = optics.ChipParameters.ideal().with_phases(optics.IDENTITY_GATE_PHASES)
     U = optics.build_chip_unitary(chip)
@@ -365,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--noise", type=float, help="relative sweep noise")
     p.add_argument("--sweep", dest="_sweep", help="ingest a sweep CSV")
-    p.add_argument("--units", choices=("mA", "relative"))
+    p.add_argument("--units", choices=_CHOICES["units"])
 
     p = sub.add_parser("hom", help="two-photon interference dip")
     common(p)
@@ -395,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", help="(distance f0..f4) table")
     p.add_argument("--shots", type=int)
     p.add_argument("--exact", action="store_true", default=None)
-    p.add_argument("--optimizer", choices=("nelder-mead", "spsa"),
+    p.add_argument("--optimizer", choices=_CHOICES["optimizer"],
                    help="ignored (both modes run coordinate descent)")
 
     return parser

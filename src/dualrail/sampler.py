@@ -171,6 +171,18 @@ def coincidence_probabilities(U: np.ndarray, x: float = 1.0) -> np.ndarray:
     return _two_photon(U, _mode_list(optics.INPUT_STATE), _COINCIDENCE_MODES, x)
 
 
+def _shot_count(value, name: str) -> int:
+    """`value` as an int, if it is a positive integer; a bool is not.  The
+    error names the parameter `name` it was passed as."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and np.isfinite(value) \
+                and value == int(value) > 0:
+            return int(value)
+    except (TypeError, ValueError):   # e.g. a string
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
     """Multinomial coincidence counts with mean <C_j> = n_events * P_j.
 

@@ -475,19 +475,6 @@ def mle_reconstruct(dataset: QptDataset, efficiencies=None) -> MleResult:
 # simulated experiments
 
 
-def _shot_count(shots_per_config) -> int:
-    """`shots_per_config` as an int, if it is a positive integer; a bool is not."""
-    try:
-        if not isinstance(shots_per_config, (bool, np.bool_)) \
-                and np.isfinite(shots_per_config) \
-                and shots_per_config == int(shots_per_config) > 0:
-            return int(shots_per_config)
-    except (TypeError, ValueError):   # e.g. a string
-        pass
-    raise ValueError(
-        f"shots_per_config must be a positive integer, got {shots_per_config!r}")
-
-
 def simulate_config_probabilities(
     chip: optics.ChipParameters,
     label: str,
@@ -515,7 +502,7 @@ def run_qpt_simulation(
     post-selection success of the ideal gate.  Optional per-detector
     efficiencies thin the four outcomes before sampling.
     """
-    shots = _shot_count(shots_per_config)
+    shots = sampler._shot_count(shots_per_config, "shots_per_config")
     labels = reference_config_labels() if labels is None else list(labels)
     eta = np.ones(4) if detector_efficiencies is None \
         else np.asarray(detector_efficiencies, dtype=float)
@@ -545,7 +532,7 @@ def simulate_dataset_from_chi(
     process matrix describes the post-selected gate, so it gives no pair
     number and no probability of discarding a pair.
     """
-    shots = _shot_count(shots_per_config)
+    shots = sampler._shot_count(shots_per_config, "shots_per_config")
     labels = reference_config_labels() if labels is None else list(labels)
     probs = _predicted(_design_rows(labels), np.asarray(chi, dtype=complex))
     p = np.clip(probs.reshape(-1, 4), 0.0, None)

@@ -227,9 +227,6 @@ def _measure(chip, tensor, h_proj, stack, shots_per_basis, rng):
     (K, 4), and their K (energy, hh record, dd record) triples.  The raw
     data are the coincidence probabilities, or counts drawn from them row by
     row, hh before dd: expected counts are linear in the probabilities."""
-    if shots_per_basis is not None and shots_per_basis <= 0:
-        raise ValueError(
-            f"shots_per_basis must be positive, got {shots_per_basis}")
     data = _probabilities(chip, tensor, stack)
     if shots_per_basis is None:
         recorded = _post_selected(data)
@@ -267,8 +264,10 @@ def measure_energy(
     if not np.isfinite(a).all():
         bad = a[~np.isfinite(a)][0]
         raise ValueError(f"ansatz phases must be finite, got {bad}")
-    if shots_per_basis is not None and rng is None:
-        raise ValueError("sampled estimation needs an rng")
+    if shots_per_basis is not None:
+        shots_per_basis = sampler._shot_count(shots_per_basis, "shots_per_basis")
+        if rng is None:
+            raise ValueError("sampled estimation needs an rng")
     _, results = _measure(chip, _amplitude_tensor(chip), h_proj,
                           np.atleast_2d(a), shots_per_basis, rng)
     return results[0] if a.ndim == 1 else results
@@ -349,6 +348,8 @@ def run_vqe(
     """
     if max_evaluations < 4:
         raise ValueError(f"need max_evaluations >= 4, got {max_evaluations}")
+    if shots_per_basis is not None:
+        shots_per_basis = sampler._shot_count(shots_per_basis, "shots_per_basis")
     hamiltonian = hamiltonian.filtered()
     h_proj = pauli_to_projector(hamiltonian)
     spectrum = np.linalg.eigvalsh(hamiltonian.matrix())   # ascending

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dualrail import calibration as cal
 from dualrail.errors import ConvergenceError, InfeasibleTargetError
@@ -8,11 +8,27 @@ from dualrail.errors import ConvergenceError, InfeasibleTargetError
 
 def lm_fit(sweep, truth):
     """Residual and alpha of scipy's Levenberg-Marquardt fit of the fringe
-    started at the true parameters: the oracle for `fit_sweep`."""
+    started at the true parameters, polished by three Gauss-Newton steps: the
+    oracle for `fit_sweep`.  On the flat valley of a few-fringe sweep LM
+    alone stops up to 5e-8 short in alpha."""
     from scipy.optimize import least_squares
-    res = least_squares(lambda t: cal.fringe_model(sweep.currents, *t) - sweep.powers,
-                        x0=truth, method="lm", xtol=1e-14, ftol=1e-14)
-    return 2.0 * res.cost, abs(res.x[3])
+    s = sweep.currents ** 2
+
+    def residual(t):
+        return cal.fringe_model(sweep.currents, *t) - sweep.powers
+
+    def jacobian(t):
+        _, c, phi0, alpha = t
+        sin = np.sin(phi0 + alpha * s)
+        return np.column_stack([np.ones_like(s), -np.cos(phi0 + alpha * s),
+                                c * sin, c * s * sin])
+
+    t = least_squares(residual, x0=truth, jac=jacobian, method="lm",
+                      xtol=1e-14, ftol=1e-14).x
+    for _ in range(3):
+        t = t - np.linalg.lstsq(jacobian(t), residual(t), rcond=None)[0]
+    r = residual(t)
+    return r @ r, abs(t[3])
 
 
 def wrapped_error(a, b):
@@ -239,6 +255,12 @@ class TestSweeps:
         with pytest.raises(ValueError):
             cal.simulate_sweep(0.25, 0.5, 0.0, 0.05, self.currents)
 
+    @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+    def test_noise_must_be_finite_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            cal.simulate_sweep(0.5, 0.3, 0.0, 0.05, self.currents,
+                               noise_sigma=noise, rng=np.random.default_rng(0))
+
     def test_noiseless_fit_recovery(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -295,23 +317,65 @@ class TestSweeps:
             assert fit.residual <= residual + 1e-12 * max(1.0, residual)
             assert abs(fit.alpha - alpha) <= 1e-8 * alpha
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(b=st.floats(0.3, 1.0), c_ratio=st.floats(0.1, 1.0),
+           phi0=st.floats(-np.pi, np.pi), alpha=st.floats(0.0065, 0.06),
+           noise=st.floats(0.0, 0.05), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_lm_property(self, b, c_ratio, phi0, alpha, noise, seed):
+        # 0.4 to 3.8 fringes over the 0-20 mA sweep, contrast C >= B / 10
+        truth = (b, c_ratio * b, phi0, alpha)
+        sweep = cal.simulate_sweep(*truth, self.currents, noise_sigma=noise,
+                                   rng=np.random.default_rng(seed))
+        residual, lm_alpha = lm_fit(sweep, truth)
+        # below half a fringe a noisy residual can fall all the way to
+        # alpha = 0; LM then leaves the truth, and there is no fringe to fit
+        # (test_no_fringe_raises)
+        assume(abs(lm_alpha - alpha) < 0.5 * alpha)
+        fit = cal.fit_sweep(sweep)
+        assert fit.residual <= residual + 1e-12 * max(1.0, residual)
+        assert abs(fit.alpha - lm_alpha) <= 1e-8 * lm_alpha
+
+    def test_no_fringe_raises(self):
+        # half a fringe of low contrast in 3% noise: the residual falls
+        # towards alpha = 0, where B and C grow without bound
+        truth = (1.0, 0.125, 1.5, 0.0078125)
+        sweep = cal.simulate_sweep(*truth, self.currents, noise_sigma=0.03125,
+                                   rng=np.random.default_rng(0))
+        assert abs(lm_fit(sweep, truth)[1] - truth[3]) > 0.5 * truth[3]
+        with pytest.raises(ConvergenceError, match="no interior minimum"):
+            cal.fit_sweep(sweep)
+
     # one true alpha below the FFT-centred grid, one above it
     @pytest.mark.parametrize("phi0, alpha", [(0.7, 0.0065), (-1.7, 0.0245)])
     @pytest.mark.parametrize("noise", [0.0, 0.02])
     def test_few_fringes_bracket_walks_past_grid(self, monkeypatch, phi0, alpha,
                                                  noise):
         # over one to two fringes the FFT peak is a bin off and the lowest
-        # point of the alpha grid is one of its ends
+        # alpha of the first scan is one of its ends
         truth = (0.5, 0.4, phi0, alpha)
         sweep = cal.simulate_sweep(*truth, self.currents, noise_sigma=noise,
                                    rng=np.random.default_rng(5))
+        scans = []
+        linear_fits = cal._linear_fits
+
+        def recorded(s, y, alphas):
+            fits = linear_fits(s, y, alphas)
+            scans.append((alphas, fits[0]))
+            return fits
+
+        monkeypatch.setattr(cal, "_linear_fits", recorded)
         fit = cal.fit_sweep(sweep)
         residual, lm_alpha = lm_fit(sweep, truth)
         assert fit.residual <= residual + 1e-12 * max(1.0, residual)
         assert abs(fit.alpha - lm_alpha) <= 1e-8 * lm_alpha
-        monkeypatch.setattr(cal, "_MAX_WALK", 1)
-        with pytest.raises(ConvergenceError, match="bracketed no minimum"):
-            cal.fit_sweep(sweep)
+        # some full scan's lowest alpha is an end, and the next scan is
+        # centred there with the same step (its low end may be cut at zero)
+        assert any(
+            alphas.size == 21 and np.argmin(residuals) in (0, 20)
+            and np.allclose(nxt, alphas[np.argmin(residuals)]
+                            + (alphas[1] - alphas[0]) * np.arange(-10, 11)[-nxt.size:],
+                            rtol=1e-12, atol=0.0)
+            for (alphas, residuals), (nxt, _) in zip(scans, scans[1:]))
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

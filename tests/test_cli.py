@@ -133,6 +133,14 @@ class TestCommandsSucceed:
         assert "# seed: 9" in lines[2] or any("seed: 9" in l for l in lines)
 
 
+    def test_config_boolean_matches_flag(self, tmp_path):
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text("exact = Yes\n")
+        assert run(["vqe", "--config", str(cfg), "--out",
+                    str(tmp_path / "cfg")]) == 0
+        assert run(["vqe", "--exact", "--out", str(tmp_path / "flag")]) == 0
+        assert read_tree(tmp_path / "cfg") == read_tree(tmp_path / "flag")
+
 class TestDeterminism:
     COMMANDS = [
         ["characterize", "--seed", "11", "--ratio-sigma", "0.01"],
@@ -209,7 +217,30 @@ class TestExitCodes:
 
     def test_zero_shots_rejected(self, tmp_path, capsys):
         assert run(["vqe", "--shots", "0", "--out", str(tmp_path / "o")]) == 1
-        assert "shots_per_basis must be positive, got 0" in capsys.readouterr().err
+        assert ("shots_per_basis must be a positive integer, got 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, line", [
+        ("vqe", "exact = on"), ("vqe", "optimizer = bogus"),
+        ("calibrate", "units = furlongs"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 1
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["calibrate", "--noise", "-1"], "noise_sigma"),
+        (["characterize", "--ratio-sigma", "-0.5"], "ratio_sigma"),
+        (["qpt", "--simulate", "--ratio-sigma", "-0.5"], "ratio_sigma"),
+        (["hom", "--x-points", "0"], "x_points"),
+        (["hom", "--x-points", "1"], "x_points"),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, argv, name):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert name in capsys.readouterr().err
 
     def test_convergence_maps_to_two(self, monkeypatch, tmp_path):
         def boom(settings):

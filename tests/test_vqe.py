@@ -143,6 +143,16 @@ class TestMeasureEnergyInputs:
                 vqe.measure_energy(optics.ChipParameters.ideal(), proj, arg,
                                    shots, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, np.nan, np.inf, True, "10"])
+    def test_shots_must_be_positive_integer(self, h2, shots):
+        chip = optics.ChipParameters.ideal()
+        message = "shots_per_basis must be a positive integer"
+        with pytest.raises(ValueError, match=message):
+            vqe.measure_energy(chip, vqe.pauli_to_projector(h2), np.zeros(4),
+                               shots, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            vqe.run_vqe(chip, h2, shots_per_basis=shots)
+
     def test_single_point_gives_one_triple(self, h2):
         proj = vqe.pauli_to_projector(h2)
         chip = optics.ChipParameters.ideal()
