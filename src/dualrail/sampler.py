@@ -196,18 +196,25 @@ def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
     if p.ndim not in (1, 2) or p.shape[-1] != 4:
         raise ValueError(
             f"expected probabilities of shape (4,) or (K, 4), got shape {p.shape}")
+    if not (math.isfinite(n_events) and n_events == int(n_events) > 0):
+        raise ValueError(f"n_events must be a positive integer, got {n_events}")
+    return _draw(p, int(n_events), rng)
+
+
+def _draw(p: np.ndarray, n_events: int, rng: np.random.Generator):
+    """`sample_counts` of float probabilities (K, 4) or (4,) for an int
+    n_events > 0, both already checked; the probabilities are checked on
+    every draw: nonnegative and finite, summing to at most 1 per row."""
     if not p.min() >= -1e-12:  # NaN fails this too
         raise ValueError("probabilities must be nonnegative")
     buckets = np.empty(p.shape[:-1] + (5,))
     np.maximum(p, 0.0, out=buckets[..., :4])
     total_p = buckets[..., :4].sum(axis=-1)
-    if total_p.max() > 1.0 + 1e-9:
+    if total_p.max() > 1.0 + 1e-9:   # +inf fails this
         raise ValueError(f"probabilities sum to {total_p.max()} > 1")
-    if not (math.isfinite(n_events) and n_events == int(n_events) > 0):
-        raise ValueError(f"n_events must be a positive integer, got {n_events}")
     buckets[..., 4] = np.maximum(1.0 - total_p, 0.0)
     buckets /= buckets.sum(axis=-1, keepdims=True)
-    return rng.multinomial(int(n_events), buckets)[..., :4]
+    return rng.multinomial(n_events, buckets)[..., :4]
 
 
 def hom_curve(

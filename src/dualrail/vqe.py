@@ -148,10 +148,13 @@ def expectation_from_counts(h: ProjectorHamiltonian, counts):
     if c.ndim not in (2, 3) or c.shape[-2:] != (2, 4):
         raise ValueError(
             f"expected counts of shape (2, 4) or (K, 2, 4), got shape {c.shape}")
-    f = h.as_array()
-    # each row is contiguous, so its dot rounds as one 8-vector's dot does
-    energies = np.array([f @ row for row in _post_selected(c).reshape(-1, 8)])
+    energies = _energies(h.as_array(), _post_selected(c))
     return float(energies[0]) if c.ndim == 2 else energies
+
+
+def _energies(f, post) -> np.ndarray:
+    # each (2, 4) is one contiguous row, so its dot rounds as an 8-vector's
+    return np.array([f @ row for row in post.reshape(-1, 8)])
 
 
 def ansatz_state(phases) -> np.ndarray:
@@ -224,20 +227,19 @@ def _probabilities(chip, tensor, stack) -> np.ndarray:
 
 def _measure(chip, tensor, h_proj, stack, shots_per_basis, rng):
     """Raw data (K, 2, 4) in count order, hh then dd, for ansatz phases
-    (K, 4), and their K (energy, hh record, dd record) triples.  The raw
-    data are the coincidence probabilities, or counts drawn from them row by
-    row, hh before dd: expected counts are linear in the probabilities."""
+    (K, 4), their records (K, 2, 4) and their K energies.  The raw data are
+    the coincidence probabilities (recorded post-selected) or counts drawn
+    from them row by row, hh before dd, at a checked `shots_per_basis`:
+    expected counts are linear in the probabilities."""
     data = _probabilities(chip, tensor, stack)
-    if shots_per_basis is None:
-        recorded = _post_selected(data)
-    else:
+    if shots_per_basis is not None:
         # the pair number is nine times the expected coincidences, matching
         # the 1/9 post-selection success of the ideal gate
-        data = recorded = sampler.sample_counts(
-            data.reshape(-1, 4), 9 * shots_per_basis, rng).reshape(data.shape)
-    energies = expectation_from_counts(h_proj, data)
-    return data, [(float(e), tuple(hh), tuple(dd))
-                  for e, (hh, dd) in zip(energies, recorded.tolist())]
+        data = sampler._draw(data.reshape(-1, 4), 9 * shots_per_basis,
+                             rng).reshape(data.shape)
+    post = _post_selected(data)
+    return (data, post if shots_per_basis is None else data,
+            _energies(h_proj.as_array(), post))
 
 
 def measure_energy(
@@ -268,8 +270,10 @@ def measure_energy(
         shots_per_basis = sampler._shot_count(shots_per_basis, "shots_per_basis")
         if rng is None:
             raise ValueError("sampled estimation needs an rng")
-    _, results = _measure(chip, _amplitude_tensor(chip), h_proj,
-                          np.atleast_2d(a), shots_per_basis, rng)
+    _, recorded, energies = _measure(chip, _amplitude_tensor(chip), h_proj,
+                                     np.atleast_2d(a), shots_per_basis, rng)
+    results = [(e, tuple(hh), tuple(dd))
+               for e, (hh, dd) in zip(energies.tolist(), recorded.tolist())]
     return results[0] if a.ndim == 1 else results
 
 
@@ -303,26 +307,39 @@ _SHIFTS = np.array([0.0, 1.0, 2.0]) * TWO_PI / 3.0
 # lays the second across the two spacings around the best point so far
 _GRID = np.arange(64) / 64.0
 _REFINEMENTS = (np.linspace(-1.0, 1.0, 33),) * 6
+# on the first grid the sinusoids are _GRID_MODEL @ raw, linear in the rows;
+# row 0 is (1, 0, 0) to rounding, so grid point 0 has a finite energy
+_GRID_MODEL = 1.0 / 3.0 + 2.0 / 3.0 * np.cos(TWO_PI * _GRID[:, None] - _SHIFTS)
+
+
+def _grid_energies(f, model):
+    """Post-selected energies of fitted raw data (G, 2, 4); +inf where a basis
+    total dips to zero between the measured shifts, as no energy is defined."""
+    totals = model.sum(axis=-1, keepdims=True)
+    post = model / np.where(totals > 0.0, totals, np.nan)
+    return np.fmin(post.reshape(-1, 8) @ f, np.inf)   # NaN -> inf
 
 
 def _coordinate_minimum(h_proj, raw, refine):
     """(shift, energy) minimizing the post-selected energy f~ . (r / sum r
     per basis) of r = a + b cos(shift) + c sin(shift) through the raw data
-    (3, 2, 4) measured at _SHIFTS."""
+    (3, 2, 4) measured at _SHIFTS: on the first grid as one product, or with
+    `refine` on every grid from a, b and c, which exact runs' traces pin."""
+    f = h_proj.as_array()
+    if not refine:
+        energies = _grid_energies(
+            f, (_GRID_MODEL @ raw.reshape(3, 8)).reshape(-1, 2, 4))
+        i = int(energies.argmin())
+        return TWO_PI * _GRID[i], energies[i]
     a = raw.mean(axis=0)
     b, c = 2.0 / 3.0 * np.tensordot([np.cos(_SHIFTS), np.sin(_SHIFTS)], raw, 1)
     best, spacing = 0.0, TWO_PI
-    for grid in (_GRID,) + (_REFINEMENTS if refine else ()):
+    for grid in (_GRID,) + _REFINEMENTS:
         shifts = best + spacing * grid
         spacing *= grid[1] - grid[0]
-        model = (a + np.multiply.outer(np.cos(shifts), b)
-                 + np.multiply.outer(np.sin(shifts), c))
-        totals = model.sum(axis=-1, keepdims=True)
-        # fitted counts can have a basis total that dips to zero between the
-        # measured shifts; no energy is defined there
-        post = model / np.where(totals > 0.0, totals, np.nan)
-        energies = post.reshape(len(shifts), 8) @ h_proj.as_array()
-        i = int(np.nanargmin(energies))
+        energies = _grid_energies(f, a + np.multiply.outer(np.cos(shifts), b)
+                                  + np.multiply.outer(np.sin(shifts), c))
+        i = int(energies.argmin())
         best, energy = shifts[i], energies[i]
     return best, energy
 
@@ -346,8 +363,12 @@ def run_vqe(
     first.  Counts run to that budget.  The best measured point is measured
     again.  Coefficients below 1e-8 are dropped.
     """
-    if max_evaluations < 4:
-        raise ValueError(f"need max_evaluations >= 4, got {max_evaluations}")
+    if not (isinstance(max_evaluations, (int, np.integer))   # bools are < 4
+            and max_evaluations >= 4):
+        raise ValueError(
+            f"need an integer max_evaluations >= 4, got {max_evaluations!r}")
+    if not 0.0 <= tol < np.inf:   # NaN fails this too
+        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
     if shots_per_basis is not None:
         shots_per_basis = sampler._shot_count(shots_per_basis, "shots_per_basis")
     hamiltonian = hamiltonian.filtered()
@@ -355,44 +376,43 @@ def run_vqe(
     spectrum = np.linalg.eigvalsh(hamiltonian.matrix())   # ascending
     exact = shots_per_basis is None
     slack = 1e-9 if exact else 0.0
-    bounds = (spectrum[0] - slack, spectrum[-1] + slack)
     rng = np.random.default_rng(seed)
     tensor = _amplitude_tensor(chip)
-    trace = VqeTrace()
-
-    def record(phases, energy, rec_hh, rec_dd):
-        trace.iterations.append(len(trace.energies) + 1)
-        trace.phases.append(tuple(phases))
-        trace.energies.append(energy)
-        trace.best_energies.append(min(trace.best_energies[-1:] + [energy]))
-        trace.records_hh.append(rec_hh)
-        trace.records_dd.append(rec_dd)
-        trace.out_of_bounds.append(not bounds[0] <= energy <= bounds[1])
-
+    # the budget keeps one evaluation for the final re-measurement; the
+    # steps write their points, records and energies in place, three rows each
+    n = (max_evaluations - 1) // 3 * 3
+    phases, energies = np.empty((n, 4)), np.empty(n)
+    records = np.empty((n, 2, 4), dtype=float if exact else np.int64)
     x = rng.uniform(0.0, TWO_PI, 4)
     stagnated = exact
-    # the budget keeps one evaluation for the final re-measurement
-    for step in range((max_evaluations - 1) // 3):
-        k = step % 4
-        points = np.mod(x + np.outer(_SHIFTS, np.eye(4)[k]), TWO_PI)
-        raw, results = _measure(chip, tensor, h_proj, points,
-                                shots_per_basis, rng)
-        for row, triple in zip(points, results):
-            record(row, *triple)
+    for step in range(n // 3):
+        k, rows = step % 4, slice(3 * step, 3 * step + 3)
+        phases[rows] = x
+        phases[rows, k] = np.mod(x[k] + _SHIFTS, TWO_PI)
+        raw, records[rows], energies[rows] = _measure(
+            chip, tensor, h_proj, phases[rows], shots_per_basis, rng)
         shift, energy = _coordinate_minimum(h_proj, raw, exact)
         x[k] = np.mod(x[k] + shift, TWO_PI)
         # a sweep starts at the first of its 12 measured points
-        if exact and k == 3 and abs(energy - trace.energies[-12]) < tol:
+        if exact and k == 3 and abs(energy - energies[rows.stop - 12]) < tol:
             stagnated = False
             break
 
     # re-measure at the best parameters (the first evaluation of the lowest
     # energy): the reported energy is a fresh estimate, not the running
     # minimum of noisy evaluations
-    best_phases = trace.phases[int(np.argmin(trace.energies))]
-    record(best_phases, *measure_energy(chip, h_proj, best_phases,
-                                        shots_per_basis, rng))
-    return VqeResult(best_phases, trace.energies[-1], trace, stagnated,
+    done = rows.stop
+    best_phases = tuple(phases[int(np.argmin(energies[:done]))].tolist())
+    final = measure_energy(chip, h_proj, best_phases, shots_per_basis, rng)
+    e = np.append(energies[:done], final[0])
+    trace = VqeTrace(
+        list(range(1, done + 2)),
+        [*map(tuple, phases[:done].tolist()), best_phases],
+        e.tolist(), np.minimum.accumulate(e).tolist(),
+        [*map(tuple, records[:done, 0].tolist()), final[1]],
+        [*map(tuple, records[:done, 1].tolist()), final[2]],
+        ((e < spectrum[0] - slack) | (e > spectrum[-1] + slack)).tolist())
+    return VqeResult(best_phases, final[0], trace, stagnated,
                      float(spectrum[0]), step // 4 + 1)
 
 

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dualrail import cli, optics, vqe
+from dualrail import cli, optics, sampler, vqe
 from dualrail.errors import DegenerateDataError
 
 REFERENCE_PROJ = (1.851, 0.447, 0.447, -0.904, 0.165, -0.165, -0.165, 0.165)
@@ -297,6 +300,30 @@ class TestRunVqe:
             vqe.run_vqe(optics.ChipParameters.ideal(), h2,
                         max_evaluations=budget)
 
+    @pytest.mark.parametrize("budget", [True, 100.0, np.float64(40), "100",
+                                        None])
+    def test_budget_must_be_integer(self, h2, budget):
+        with pytest.raises(ValueError, match="max_evaluations"):
+            vqe.run_vqe(optics.ChipParameters.ideal(), h2,
+                        max_evaluations=budget)
+
+    def test_numpy_integer_budget_accepted(self, h2):
+        res = vqe.run_vqe(optics.ChipParameters.ideal(), h2, shots_per_basis=50,
+                          max_evaluations=np.int64(7))
+        assert len(res.trace.energies) == 7
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_tol_must_be_finite_nonnegative(self, h2, shots, tol):
+        with pytest.raises(ValueError, match="tol"):
+            vqe.run_vqe(optics.ChipParameters.ideal(), h2,
+                        shots_per_basis=shots, tol=tol)
+
+    def test_zero_tol_accepted(self, h2):
+        res = vqe.run_vqe(optics.ChipParameters.ideal(), h2,
+                          max_evaluations=40, tol=0.0)
+        assert len(res.trace.energies) == 40
+
     @pytest.mark.parametrize("refine", [False, True])
     def test_coordinate_step_skips_shifts_without_coincidences(self, h2,
                                                                refine):
@@ -312,6 +339,20 @@ class TestRunVqe:
         a, b, c = 7 / 3, -4 / 3, -8 / 3 * np.sin(2 * np.pi / 3)
         total = a + b * np.cos(shift) + c * np.sin(shift)
         assert total > 0 and np.isfinite(energy)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(raw=hnp.arrays(np.int64, (3, 2, 4), elements=st.integers(0, 3000)))
+    def test_grid_product_picks_closed_form_minimum(self, h2, raw):
+        # the first grid as one matrix product of the measured rows picks the
+        # grid point of the scan of a + b cos + c sin; the energies are ratios
+        # whose fitted totals can be small, so they agree relative to their size
+        assume((raw.sum(axis=-1) > 0).all())
+        proj = vqe.pauli_to_projector(h2)
+        shift, energy = vqe._coordinate_minimum(proj, raw, False)
+        want_shift, want_energy = reference_coordinate_minimum(proj, raw, False)
+        assert shift == want_shift
+        assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
 
     @pytest.mark.parametrize("chip_seed", [0, 1, 4])
     def test_exact_mode_matches_nelder_mead_on_perturbed_chips(
@@ -386,3 +427,94 @@ def test_spsa_outputs_pinned(tmp_path, argv):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == GOLDEN_DIGESTS[argv]
+
+
+# The per-step loop of `run_vqe` as it was before its trace was buffered and
+# its first grid became one matrix product: every output must stay as this
+# loop makes it.
+
+
+def reference_coordinate_minimum(h_proj, raw, refine):
+    a = raw.mean(axis=0)
+    b, c = 2.0 / 3.0 * np.tensordot(
+        [np.cos(vqe._SHIFTS), np.sin(vqe._SHIFTS)], raw, 1)
+    best, spacing = 0.0, 2.0 * np.pi
+    for grid in (vqe._GRID,) + (vqe._REFINEMENTS if refine else ()):
+        shifts = best + spacing * grid
+        spacing *= grid[1] - grid[0]
+        model = (a + np.multiply.outer(np.cos(shifts), b)
+                 + np.multiply.outer(np.sin(shifts), c))
+        totals = model.sum(axis=-1, keepdims=True)
+        post = model / np.where(totals > 0.0, totals, np.nan)
+        energies = post.reshape(len(shifts), 8) @ h_proj.as_array()
+        i = int(np.nanargmin(energies))
+        best, energy = shifts[i], energies[i]
+    return best, energy
+
+
+def reference_run_vqe(chip, hamiltonian, shots_per_basis=None, seed=0,
+                      max_evaluations=2000, tol=1e-9):
+    hamiltonian = hamiltonian.filtered()
+    h_proj = vqe.pauli_to_projector(hamiltonian)
+    spectrum = np.linalg.eigvalsh(hamiltonian.matrix())
+    exact = shots_per_basis is None
+    slack = 1e-9 if exact else 0.0
+    bounds = (spectrum[0] - slack, spectrum[-1] + slack)
+    rng = np.random.default_rng(seed)
+    tensor = vqe._amplitude_tensor(chip)
+    trace = vqe.VqeTrace()
+
+    def measure(stack):
+        data = vqe._probabilities(chip, tensor, stack)
+        if exact:
+            recorded = vqe._post_selected(data)
+        else:
+            data = recorded = sampler.sample_counts(
+                data.reshape(-1, 4), 9 * shots_per_basis,
+                rng).reshape(data.shape)
+        energies = vqe.expectation_from_counts(h_proj, data)
+        return data, [(float(e), tuple(hh), tuple(dd))
+                      for e, (hh, dd) in zip(energies, recorded.tolist())]
+
+    def record(phases, energy, rec_hh, rec_dd):
+        trace.iterations.append(len(trace.energies) + 1)
+        trace.phases.append(tuple(phases))
+        trace.energies.append(energy)
+        trace.best_energies.append(min(trace.best_energies[-1:] + [energy]))
+        trace.records_hh.append(rec_hh)
+        trace.records_dd.append(rec_dd)
+        trace.out_of_bounds.append(not bounds[0] <= energy <= bounds[1])
+
+    x = rng.uniform(0.0, 2.0 * np.pi, 4)
+    stagnated = exact
+    for step in range((max_evaluations - 1) // 3):
+        k = step % 4
+        points = np.mod(x + np.outer(vqe._SHIFTS, np.eye(4)[k]), 2.0 * np.pi)
+        raw, results = measure(points)
+        for row, triple in zip(points, results):
+            record(row, *triple)
+        shift, energy = reference_coordinate_minimum(h_proj, raw, exact)
+        x[k] = np.mod(x[k] + shift, 2.0 * np.pi)
+        if exact and k == 3 and abs(energy - trace.energies[-12]) < tol:
+            stagnated = False
+            break
+
+    best_phases = trace.phases[int(np.argmin(trace.energies))]
+    record(best_phases, *vqe.measure_energy(chip, h_proj, best_phases,
+                                            shots_per_basis, rng))
+    return vqe.VqeResult(best_phases, trace.energies[-1], trace, stagnated,
+                         float(spectrum[0]), step // 4 + 1)
+
+
+@pytest.mark.parametrize("shots, budget", [(2000, 40), (2000, 2000),
+                                           (None, 2000)])
+@pytest.mark.parametrize("seed", range(10))
+def test_run_matches_reference_loop(h2, seed, shots, budget):
+    chip = optics.ChipParameters.ideal()
+    got = vqe.run_vqe(chip, h2, shots, seed, budget)
+    want = reference_run_vqe(chip, h2, shots, seed, budget)
+    for name in (f.name for f in dataclasses.fields(vqe.VqeResult)):
+        if name != "trace":
+            assert getattr(got, name) == getattr(want, name), name
+    for name in (f.name for f in dataclasses.fields(vqe.VqeTrace)):
+        assert getattr(got.trace, name) == getattr(want.trace, name), name
