@@ -1,9 +1,10 @@
 """Scoped one-thread limit for the OpenBLAS builds that numpy and scipy load.
 
-The tomography fit's interior-point iterations (256x256 products, two 257x257
-solves each) round differently on two threads: on 2 vCPUs, two OpenBLAS
-threads changed the fitted chi's bits on all four datasets tried, and were no
-faster.  So the fit runs on one thread, whatever the caller's setting.  The
+The tomography fit (one 256x256 eigendecomposition, then per interior-point
+iteration a 114x256 congruence and Gram product and a few 114x114 solves)
+rounds differently on two threads: on 2 vCPUs, two OpenBLAS threads changed
+the fitted chi's bits on four datasets, and were no faster.  So the fit runs
+on one thread, whatever the caller's setting.  The
 limit holds only inside `single_thread()`; the caller's counts come back on
 exit.  Where no OpenBLAS is loaded (another OS, MKL) it does nothing.
 """

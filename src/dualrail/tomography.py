@@ -81,8 +81,12 @@ def chi_fidelity(chi_e: np.ndarray, chi_t: np.ndarray) -> float:
 
 def check_chi(chi: np.ndarray, herm_tol: float = 1e-10, psd_tol: float = 1e-9,
               trace_tol: float = 1e-9) -> None:
-    """Raise if chi is not Hermitian, PSD, and unit trace."""
+    """Raise if chi is not a 16 x 16 finite matrix, Hermitian, PSD, and unit trace."""
     chi = np.asarray(chi)
+    if chi.shape != (16, 16):
+        raise ValueError(f"chi must be 16 x 16, got shape {chi.shape}")
+    if not np.isfinite(chi).all():
+        raise ValueError("chi has non-finite entries")
     if np.max(np.abs(chi - chi.conj().T)) > herm_tol:
         raise ValueError("chi is not Hermitian")
     if np.linalg.eigvalsh(chi).min() < -psd_tol:
@@ -300,6 +304,7 @@ _UPPER = np.triu_indices(16, 1)
 _GAP_TOL = 1e-10      # converged: the cost is at most this above the optimum
 _BOUNDARY = 0.98      # share of the way to the cone's boundary a step may go
 _MAX_STEPS = 100
+_RANK_TOL = 1e-10     # relative size below which an eigenvalue of D^T D is zero
 
 
 @dataclass(frozen=True)
@@ -313,10 +318,23 @@ class MleResult:
 
 
 def _design_rows(labels) -> np.ndarray:
-    """Transfer rows (see `_transfer_rows`), four outcomes per label."""
-    states = [config_states(label) for label in labels]
-    preps = np.repeat([prep for prep, _ in states], 4, axis=0)
-    return _transfer_rows(preps, np.array([tau for _, four in states for tau in four]))
+    """Transfer rows (see `_transfer_rows`), four outcomes per label.
+
+    The states are products of a (qubit, letter, 2) table of codebook kets,
+    taken elementwise as `config_states`' `np.kron` takes them, so that
+    every row is bit for bit what the per-label states give.
+    """
+    letters = {letter: i for i, letter in enumerate(_KET)}
+    kets = np.array([[codebook_state(letter, qubit) for letter in letters]
+                     for qubit in (0, 1)])
+    parsed = [parse_config_label(label) for label in labels]
+    p1, p2 = (np.array([letters[c[k]] for c in parsed], dtype=int) for k in (0, 1))
+    o1, o2 = (np.array([[letters[o] for o in BASIS_OUTCOMES[c[k]]] for c in parsed],
+                       dtype=int).reshape(-1, 2) for k in (2, 3))
+    preps = (kets[0, p1, :, None] * kets[1, p2, None, :]).reshape(-1, 4)
+    # outcome k = 2 * (qubit-1 outcome) + (qubit-2 outcome), as C1..C4
+    taus = kets[0, o1][:, :, None, :, None] * kets[1, o2][:, None, :, None, :]
+    return _transfer_rows(np.repeat(preps, 4, axis=0), taus.reshape(-1, 4))
 
 
 def _measured_probabilities(dataset: QptDataset, efficiencies) -> np.ndarray:
@@ -344,11 +362,11 @@ def _coords(m):
 
 
 def _hermitian(x):
-    """The Hermitian matrix with coordinates x."""
-    m = np.zeros((16, 16), dtype=complex)
-    m[_UPPER] = (x[16:136] + 1j * x[136:]) / np.sqrt(2.0)
-    m = m + m.conj().T
-    m[np.diag_indices(16)] = x[:16]
+    """The Hermitian matrices (..., 16, 16) with coordinates x (..., 256)."""
+    m = np.zeros(x.shape[:-1] + (16, 16), dtype=complex)
+    m[..., _UPPER[0], _UPPER[1]] = (x[..., 16:136] + 1j * x[..., 136:]) / np.sqrt(2.0)
+    m = m + np.swapaxes(m, -1, -2).conj()
+    m[..., np.arange(16), np.arange(16)] = x[..., :16]
     return m
 
 
@@ -357,19 +375,25 @@ def _design(u_rows):
     return _coords(u_rows[:, :, None] * u_rows.conj()[:, None, :])
 
 
-def _linear_inversion_start(u_rows, q):
-    """Least-squares Hermitian solution, projected onto PSD with unit trace
-    and mixed 1% with I/16 so that it lies inside the cone."""
-    sol, *_ = np.linalg.lstsq(_design(u_rows), q, rcond=None)
-    vals, vecs = np.linalg.eigh(_hermitian(sol))
+def _start_and_factor(u_rows, q):
+    """The starting chi and a factor C of the design, from one
+    eigendecomposition D^T D = V diag(w) V^T of D = `_design(u_rows)`.
+
+    C = diag(sqrt(w)) V^T over the r eigenvalues above `_RANK_TOL` of the
+    largest, so C^T C = D^T D; the rest are rounding of zero (about 1e-16
+    of the largest on the 64-configuration design, whose smallest nonzero
+    one is 1/16 of it).  The start is the minimum-norm least-squares
+    solution V diag(1/w) V^T D^T q, projected onto PSD with unit trace and
+    mixed 1% with I/16 so that it lies inside the cone.
+    """
+    design = _design(u_rows)
+    w, v = np.linalg.eigh(design.T @ design)
+    keep = w > _RANK_TOL * w[-1]
+    w, v = w[keep], v[:, keep]
+    vals, vecs = np.linalg.eigh(_hermitian(v @ (q @ design @ v / w)))
     chi = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    return 0.99 * chi / np.real(np.trace(chi)) + 0.01 * np.eye(16) / 16.0
-
-
-def _newton_direction(kkt, rhs, trace_resid):
-    """(dX, dnu) with (H + I) dx - dnu a = rhs and a . dx = trace_resid."""
-    sol = np.linalg.solve(kkt, np.append(rhs, trace_resid))
-    return _hermitian(sol[:256]), -sol[256]
+    start = 0.99 * chi / np.real(np.trace(chi)) + 0.01 * np.eye(16) / 16.0
+    return start, np.sqrt(w)[:, None] * v.T
 
 
 def _step_length(lam, dx, dz):
@@ -378,6 +402,45 @@ def _step_length(lam, dx, dz):
     w = lam ** -0.5
     least = min(np.linalg.eigvalsh(w[:, None] * d * w)[0] for d in (dx, dz))
     return min(1.0, _BOUNDARY / -least) if least < 0.0 else 1.0
+
+
+def _newton_solver(frame, wide, trace_resid, rhs):
+    """Solve the Newton system in the frame F = `frame`:
+    (I + 2 C_F^T C_F) dx - dnu a = rhs, a . dx = `trace_resid`, where
+    `wide` holds the factor's Hermitian matrices C_k side by side, C_F the
+    coordinates of F^H C_k F as rows and a = coords(F^H F), the trace row.
+    Returns (dX, dnu) for `rhs` and a function that does the same for
+    another right-hand side in the same frame.
+
+    I + 2 C_F^T C_F is inverted by Woodbury through the r x r matrix
+    I + 2 C_F C_F^T, plus one step of iterative refinement: near the cone's
+    boundary C_F is badly scaled (I + 2 C_F C_F^T reaches a condition
+    number of about 1e12) and plain Woodbury loses the digits the
+    interior-point steps need.  The r x r system is solved by LU for each
+    vector, not through an explicit inverse or a precomputed solve against
+    C_F, whose rounding C_F magnifies: with either, the chip fits stall at
+    `_MAX_STEPS`.  The trace row is eliminated by its Schur complement.
+    """
+    adjoint = frame.conj().T
+    congruent = ((adjoint @ wide).reshape(-1, 16) @ frame).reshape(16, -1, 16)
+    rows = _coords(congruent.transpose(1, 0, 2))
+    trace_row = _coords(adjoint @ frame)   # Tr(F X F^H) = a . x
+    inner = np.eye(len(rows)) + 2.0 * rows @ rows.T
+
+    def woodbury(b):
+        return b - 2.0 * rows.T @ np.linalg.solve(inner, rows @ b)
+
+    def solve_h(b):
+        y = woodbury(b)
+        return y + woodbury(b - y - 2.0 * rows.T @ (rows @ y))
+
+    ha, hb = solve_h(np.stack([trace_row, rhs], axis=1)).T
+
+    def schur(hb):
+        dnu = (trace_resid - trace_row @ hb) / (trace_row @ ha)
+        return _hermitian(hb + dnu * ha), dnu
+
+    return schur(hb), lambda other: schur(solve_h(other))
 
 
 def minimize(u_rows, q):
@@ -390,17 +453,23 @@ def minimize(u_rows, q):
     works in the Nesterov-Todd frame F = L Q diag(zeta)^(-1/4), from
     chi = L L^H and L^H Z L = Q diag(zeta) Q^H, where both chi and Z are
     diag(lam), lam = sqrt(zeta) (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 769
-    (1998)).  There the Newton system is (H + I) dx - dnu a = -grad f + nu a
-    + coords(sigma mu / lam - corrector), with H and a the Hessian and the
-    trace row in that frame, and dz = sigma mu / lam - lam - corrector - dx.
-    The affine predictor (sigma = 0) sets sigma = (mu_aff / mu)^3 and the
-    second-order corrector of Mehrotra (SIAM J. Optim. 2, 575 (1992)).
-    Primal and dual move by one step length, as befits a quadratic cost,
-    whose dual residual moves with the primal step.  The solve stops when
-    the Frank-Wolfe gap <G, chi> - lambda_min(G), G = grad f, is
-    <= `_GAP_TOL`; it bounds f(chi) - min f.  Returns (chi, iterations, gap).
+    (1998)).  There the Newton system is (I + 2 C_F^T C_F) dx - dnu a =
+    coords(F^H (nu I - grad f) F) + coords(sigma mu / lam - corrector),
+    with a = coords(F^H F) the trace row, and dz = sigma mu / lam - lam -
+    corrector - dx.  C_F holds, as rows, the coordinates of F^H C_k F for
+    the r Hermitian matrices C_k of the factor C^T C = D^T D of the design
+    (see `_start_and_factor`; r = 114 on the 64-configuration design), so
+    `_newton_solver` needs one r x r system per iteration.  The affine
+    predictor (sigma = 0) sets sigma = (mu_aff / mu)^3 and the second-order
+    corrector of Mehrotra (SIAM J. Optim. 2, 575 (1992)).  Primal and dual
+    move by one step length, as befits a quadratic cost, whose dual
+    residual moves with the primal step.  The solve stops when the
+    Frank-Wolfe gap <G, chi> - lambda_min(G), G = grad f, is <= `_GAP_TOL`;
+    it bounds f(chi) - min f.  Returns (chi, iterations, gap).
     """
-    chi = _linear_inversion_start(u_rows, q)
+    chi, factor = _start_and_factor(u_rows, q)
+    # the C_k side by side, (16, r * 16), so that F^H C_k F is two products
+    wide = _hermitian(factor).transpose(1, 0, 2).reshape(16, -1)
     chol = np.linalg.cholesky(chi)
     nu = None
     steps = 0
@@ -419,13 +488,8 @@ def minimize(u_rows, q):
         lam = np.sqrt(zeta)
         scaled = np.diag(lam)   # chi and Z in the frame
         frame = (chol @ rot) * zeta ** -0.25
-        design = _design(u_rows @ frame.conj())   # rows F^H u_j
-        trace_row = _coords(frame.conj().T @ frame)   # Tr(F X F^H) = a . x
-        kkt = np.block([[2.0 * design.T @ design + np.eye(256), trace_row[:, None]],
-                        [trace_row[None, :], np.zeros((1, 1))]])
-        rhs = nu * trace_row - 2.0 * design.T @ r
-        trace_resid = 1.0 - np.real(np.trace(chi))
-        dx, _ = _newton_direction(kkt, rhs, trace_resid)
+        rhs = _coords(frame.conj().T @ (nu * np.eye(16) - grad) @ frame)
+        (dx, _), solve = _newton_solver(frame, wide, 1.0 - np.real(np.trace(chi)), rhs)
         dz = -scaled - dx
         s = _step_length(lam, dx, dz)
         mu = lam @ lam / 16.0
@@ -435,7 +499,7 @@ def minimize(u_rows, q):
         prod = dx @ dz
         comp = np.diag((mu_aff / mu) ** 3 * mu / lam) \
             - (prod + prod.conj().T) / (lam[:, None] + lam)
-        dx, dnu = _newton_direction(kkt, rhs + _coords(comp), trace_resid)
+        dx, dnu = solve(rhs + _coords(comp))
         dz = comp - scaled - dx
         s = _step_length(lam, dx, dz)
         c = np.linalg.cholesky(scaled + s * dx)
@@ -530,14 +594,22 @@ def simulate_dataset_from_chi(
     `shots_per_config` exactly per configuration, over the probabilities chi
     predicts for the four outcomes, clipped at zero and renormalised.  A
     process matrix describes the post-selected gate, so it gives no pair
-    number and no probability of discarding a pair.
+    number and no probability of discarding a pair.  chi must pass
+    `check_chi`, and every configuration must have a positive predicted
+    total.
     """
+    check_chi(chi)
     shots = sampler._shot_count(shots_per_config, "shots_per_config")
     labels = reference_config_labels() if labels is None else list(labels)
     probs = _predicted(_design_rows(labels), np.asarray(chi, dtype=complex))
     p = np.clip(probs.reshape(-1, 4), 0.0, None)
-    draws = np.random.default_rng(seed).multinomial(
-        shots, p / p.sum(axis=1, keepdims=True))
+    totals = p.sum(axis=1, keepdims=True)
+    if not (totals > 0).all():
+        label = labels[np.argmax(totals <= 0)]   # the first empty one
+        raise DegenerateDataError(
+            f"configuration {label}: chi predicts zero probability for all "
+            "four outcomes")
+    draws = np.random.default_rng(seed).multinomial(shots, p / totals)
     return QptDataset(tuple(zip(labels, draws.tolist())))
 
 

@@ -100,6 +100,7 @@ class TestCommandsSucceed:
         assert f"fidelity_vs_ideal_cnot = {fidelity}" in lines
         assert f"final_cost = {cost}" in lines
         assert "converged = True" in lines
+        assert "newton_steps = 13" in lines
 
     def test_qpt_writes_residuals(self, tmp_path):
         out = tmp_path / "qpt"

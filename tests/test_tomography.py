@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,9 +47,44 @@ def check_certificate(dataset):
     assert abs(result.gap - gap) < 1e-12
     u_rows = tomo._design_rows(dataset.labels())
     q = tomo._measured_probabilities(dataset, None)
-    start = tomo._linear_inversion_start(u_rows, q)
+    start, _ = tomo._start_and_factor(u_rows, q)
     assert result.cost <= np.sum((tomo._predicted(u_rows, start) - q) ** 2)
     return result
+
+
+ALL_LABELS = ["".join(t) for t in itertools.product("HVDARL", "HVDARL", "hdr", "hdr")]
+
+
+def design_rows_oracle(labels):
+    """Transfer rows from the per-label states of `config_states`."""
+    states = [tomo.config_states(label) for label in labels]
+    preps = np.repeat([prep for prep, _ in states], 4, axis=0)
+    return tomo._transfer_rows(preps, np.array([tau for _, four in states for tau in four]))
+
+
+def dense_newton_oracle(u_rows, frame, trace_resid, rhs):
+    """(dx, dnu) of (2 D_F^T D_F + I) dx - dnu a = rhs, a . dx = trace_resid,
+    from the design D_F = `_design(u_rows @ conj(F))` in the frame and the
+    trace row a = coords(F^H F), as one 257 x 257 LU solve.
+
+    Near the cone's boundary that system has a condition number of about
+    1e12 and the LU solve alone keeps only about five digits, so the
+    solution is refined with its residual taken in long double.
+    """
+    design = tomo._design(u_rows @ frame.conj())
+    a = tomo._coords(frame.conj().T @ frame)
+    kkt = np.block([[2.0 * design.T @ design + np.eye(256), a[:, None]],
+                    [a[None, :], np.zeros((1, 1))]])
+    b = np.append(rhs, trace_resid)
+    sol = np.linalg.solve(kkt, b)
+    long_d, long_a, long_b = (x.astype(np.longdouble) for x in (design, a, b))
+    for _ in range(3):
+        x = sol.astype(np.longdouble)
+        dx, s = x[:256], x[256]
+        residual = long_b - np.append(dx + 2.0 * long_d.T @ (long_d @ dx) + s * long_a,
+                                      long_a @ dx)
+        sol = sol + np.linalg.solve(kkt, residual.astype(float))
+    return sol[:256], -sol[256]
 
 
 class TestIdealCnotChi:
@@ -86,6 +123,15 @@ class TestIdealCnotChi:
 
     def test_passes_physicality_checks(self):
         tomo.check_chi(tomo.ideal_cnot_chi())
+
+    @pytest.mark.parametrize("chi, message", [
+        (np.eye(4) / 4.0, r"16 x 16, got shape \(4, 4\)"),
+        (np.full((16, 16), np.nan), "non-finite"),
+        (np.where(np.eye(16) > 0, np.inf, 0.0), "non-finite"),
+    ], ids=["4x4", "nan", "inf"])
+    def test_check_chi_rejects_shape_and_non_finite(self, chi, message):
+        with pytest.raises(ValueError, match=message):
+            tomo.check_chi(chi)
 
 
 class TestProcessApply:
@@ -350,6 +396,29 @@ class TestSimulationAndIo:
             tomo.run_qpt_simulation(optics.ChipParameters.ideal(),
                                     shots_per_config=shots)
 
+    @pytest.mark.parametrize("chi, message", [
+        (np.zeros((16, 16)), "unit trace"),
+        (-tomo.ideal_cnot_chi(), "positive semidefinite"),
+        (np.eye(4) / 4.0, "16 x 16"),
+        (np.full((16, 16), np.nan), "non-finite"),
+    ], ids=["zero", "minus_cnot", "4x4", "nan"])
+    def test_chi_simulation_rejects_unphysical_chi(self, chi, message):
+        with pytest.raises(ValueError, match=message):
+            tomo.simulate_dataset_from_chi(chi)
+
+    def test_chi_simulation_names_configuration_with_zero_total(self):
+        # a physical chi that is not trace preserving: its one Kraus operator
+        # 2|00><00| sends every preparation orthogonal to |00> to zero, the
+        # first of them HHhh (|10> in the codebook's qubit-1 frame)
+        kraus = np.zeros((4, 4), dtype=complex)
+        kraus[0, 0] = 2.0
+        chi = tomo.chi_from_kraus([kraus])
+        tomo.check_chi(chi)
+        with pytest.raises(DegenerateDataError, match="configuration HHhh"):
+            tomo.simulate_dataset_from_chi(chi)
+        with pytest.raises(DegenerateDataError, match="configuration HHhd"):
+            tomo.simulate_dataset_from_chi(chi, labels=["VHhh", "HHhd", "HHhh"])
+
     def test_chi_simulation_draws_exact_totals(self):
         dataset = tomo.simulate_dataset_from_chi(tomo.ideal_cnot_chi(),
                                                  shots_per_config=37.0, seed=2)
@@ -427,6 +496,79 @@ class TestSimulationAndIo:
         assert fidelity_for(ideal.with_static_phases(0.4, 0.0), seed=53) \
             < baseline - 0.005
         assert fidelity_for(ideal, phase_bias=0.15, seed=54) < baseline - 0.005
+
+
+class TestNewtonSolve:
+    """The fit's Newton system, solved in the span of the design."""
+
+    def test_design_rank_and_factor(self):
+        u_rows = tomo._design_rows(tomo.reference_config_labels())
+        design = tomo._design(u_rows)
+        _, factor = tomo._start_and_factor(u_rows, np.full(256, 0.25))
+        assert factor.shape == (114, 256)
+        assert np.allclose(factor.T @ factor, design.T @ design, rtol=0, atol=1e-12)
+
+    def test_reduced_direction_matches_dense_kkt(self, monkeypatch):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("the oracle's refinement needs an extended long double")
+        dataset = tomo.load_reference_counts()
+        u_rows = tomo._design_rows(dataset.labels())
+        solves = []
+        reduced = tomo._newton_solver
+
+        def recording(frame, wide, trace_resid, rhs):
+            first, solve = reduced(frame, wide, trace_resid, rhs)
+            solves.append((frame, trace_resid, rhs, first))
+
+            def recorded(other):
+                solves.append((frame, trace_resid, other, solve(other)))
+                return solves[-1][-1]
+            return first, recorded
+
+        monkeypatch.setattr(tomo, "_newton_solver", recording)
+        result = tomo.mle_reconstruct(dataset)
+        assert len(solves) == 2 * result.n_iterations == 26
+        for frame, trace_resid, rhs, (dx, dnu) in solves:
+            want_dx, want_dnu = dense_newton_oracle(u_rows, frame, trace_resid, rhs)
+            want = np.append(want_dx, want_dnu)
+            got = np.append(tomo._coords(dx), dnu)
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_bundled_iterations(self):
+        assert tomo.mle_reconstruct(tomo.load_reference_counts()).n_iterations == 13
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_simulated_chip_iterations(self, tmp_path, seed):
+        # without its refinement step the reduced solve stalls on such chips
+        out = tmp_path / "qpt"
+        assert cli.main(["qpt", "--simulate", "--r5", f"{0.45 + 0.01 * seed}",
+                         "--x", "0.97", "--seed", str(seed), "--out", str(out)]) == 0
+        summary = dict(line.split(" = ") for line in
+                       (out / "summary.txt").read_text().splitlines()
+                       if " = " in line and not line.startswith("#"))
+        assert summary["converged"] == "True"
+        assert int(summary["newton_steps"]) <= 15
+
+    def test_full_rank_design(self):
+        # 16 preparations (H, V, D, R per qubit) and 9 bases: the design has
+        # rank 256, so the reduced system is the whole space
+        labels = ["".join(t) for t in itertools.product("HVDR", "HVDR", "hdr", "hdr")]
+        u_rows = tomo._design_rows(labels)
+        _, factor = tomo._start_and_factor(u_rows, np.full(len(u_rows), 0.25))
+        assert factor.shape == (256, 256)
+        truth = 0.8 * tomo.ideal_cnot_chi() + 0.2 * np.eye(16) / 16.0
+        dataset = tomo.simulate_dataset_from_chi(truth, 10 ** 7, seed=9, labels=labels)
+        result = tomo.mle_reconstruct(dataset)
+        assert result.converged
+        assert result.n_iterations == 6
+        assert round(float(np.real(np.trace(result.chi @ tomo.ideal_cnot_chi()))), 6) \
+            == 0.812493
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(labels=st.lists(st.sampled_from(ALL_LABELS), min_size=1, max_size=80,
+                           unique=True))
+    def test_design_rows_match_per_label_states(self, labels):
+        assert np.array_equal(tomo._design_rows(labels), design_rows_oracle(labels))
 
 
 class TestChiFidelity:
