@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import optics
 from .errors import ConvergenceError, InfeasibleTargetError
 
 # heater pairs with mutual thermal coupling (0-based): vertical neighbours
@@ -393,12 +394,11 @@ def parse_crosstalk_table(text: str) -> CrossTalkModel:
 
 
 def format_crosstalk_table(model: CrossTalkModel) -> str:
-    lines = ["# heater cross-talk matrix, 1e-2 rad/mA^2; phi0 in rad"]
-    for i in range(8):
-        row = " ".join(f"{v * 100:.6g}" for v in model.matrix[i])
-        lines.append(f"{i + 1} {row}")
-    lines.append("phi0 " + " ".join(f"{v:.6g}" for v in model.initial_phases))
-    return "\n".join(lines) + "\n"
+    phi0 = ("phi0" + " %.6g" * 8) % tuple(model.initial_phases.tolist())
+    return optics.format_table(
+        "# heater cross-talk matrix, 1e-2 rad/mA^2; phi0 in rad",
+        "%d" + " %.6g" * 8, np.arange(1, 9), *(model.matrix * 100).T,
+    ) + phi0 + "\n"
 
 
 def read_sweep_csv(path, units: str = "mA") -> CalibrationSweep:

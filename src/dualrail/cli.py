@@ -1,8 +1,9 @@
 """Command-line entry points for the five reference experiments.
 
-Every command resolves its settings from an optional key=value config file
-plus flags (flags win), stamps each output file with the settings hash and
-seed, and is byte-reproducible for a fixed seed.
+A command's settings are its own flags.  An optional key = value config
+file may set any of them (flags win); every output file is stamped with the
+hash of the command's settings and the seed, and is byte-reproducible for a
+fixed seed.
 
 Exit codes: 0 success, 1 validation error, 2 convergence or infeasibility.
 """
@@ -27,30 +28,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "shots": 2000,
-    "x": 1.0,
-    "out": "out",
-    "chip": None,
-    "ratio_sigma": 0.0,
-    "r5": None,
-    "r9": None,
-    "theta1": None,
-    "phase_bias": 0.0,
-    "noise": 0.01,
-    "samples": 100,
-    "ratio_dev": 0.0,
-    "optimizer": "nelder-mead",   # ignored: both vqe modes run one optimizer
-    "hamiltonian": None,
-    "ingest": None,
-    "simulate": False,
-    "exact": False,
-    "x_points": 51,
-    "units": "mA",
-    "starts": 4,   # ignored by the fit; kept because every setting is hashed
-}
-
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
 
@@ -61,36 +38,32 @@ def _boolean(text: str) -> bool:
     return _BOOLEANS[text.lower()]
 
 
-_CASTS = {
-    "seed": int, "shots": int, "samples": int, "x_points": int, "starts": int,
-    "x": float, "ratio_sigma": float, "r5": float, "r9": float,
-    "theta1": float, "phase_bias": float, "noise": float, "ratio_dev": float,
-    "simulate": _boolean, "exact": _boolean,
-}
-
-# the values a setting may take, for flags and config files alike
-_CHOICES = {"optimizer": ("nelder-mead", "spsa"), "units": ("mA", "relative")}
+def _setting_actions(command: argparse.ArgumentParser) -> dict:
+    # a flag whose default is SUPPRESS (help, --config and the ignored
+    # --starts and --optimizer) is not a setting
+    return {a.dest: a for a in command._actions
+            if a.default is not argparse.SUPPRESS}
 
 
-def _resolve(args) -> dict:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, val in optics.read_key_values(args.config).items():
-            key = key.replace("-", "_")
-            if key not in settings:
-                raise ValueError(f"unknown config key {key!r}")
-            try:
-                settings[key] = _CASTS.get(key, str)(val)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-            if key in _CHOICES and settings[key] not in _CHOICES[key]:
-                raise ValueError(f"config key {key!r} must be one of "
-                                 f"{', '.join(_CHOICES[key])}, got {val!r}")
-    for key in settings:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            settings[key] = val
-    return settings
+def _config_values(command: argparse.ArgumentParser, path) -> dict:
+    """The settings a config file sets, cast and checked as their flags."""
+    actions = _setting_actions(command)
+    values = {}
+    for key, text in optics.read_key_values(path).items():
+        key = key.replace("-", "_")
+        if key not in actions:
+            raise ValueError(f"config key {key!r} is not a setting of "
+                             f"{command.prog}")
+        action = actions[key]
+        cast = _boolean if action.nargs == 0 else action.type or str
+        try:
+            values[key] = cast(text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        if action.choices and values[key] not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{', '.join(action.choices)}, got {text!r}")
+    return values
 
 
 def _settings_hash(settings: dict, command: str) -> str:
@@ -131,19 +104,14 @@ def _chip_from_settings(settings, rng=None) -> optics.ChipParameters:
         if rng is None:
             raise ValueError("ratio_sigma perturbation needs the run rng")
         chip = chip.perturbed(sigma, rng)
-    if settings["r5"] is not None:
+    # characterize has no defect flags, only qpt does
+    if settings.get("r5") is not None:
         chip = chip.with_ratio(5, settings["r5"])
-    if settings["r9"] is not None:
+    if settings.get("r9") is not None:
         chip = chip.with_ratio(9, settings["r9"])
-    if settings["theta1"] is not None:
+    if settings.get("theta1") is not None:
         chip = chip.with_static_phases(settings["theta1"], chip.static_phases[1])
     return chip
-
-
-def _matrix_csv(matrix: np.ndarray) -> str:
-    return "\n".join(
-        ",".join(f"{v:.12g}" for v in row) for row in np.asarray(matrix)
-    ) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +132,11 @@ def cmd_characterize(settings) -> int:
     recovered = optics.sinkhorn_scale(raw_powers, tol=1e-9)
     fid = optics.fidelity(recovered, ideal_moduli)
 
-    run.write("powers_raw.csv", _matrix_csv(raw_powers))
-    run.write("moduli_recovered.csv", _matrix_csv(recovered))
-    run.write("moduli_ideal.csv", _matrix_csv(ideal_moduli))
+    for name, matrix in (("powers_raw.csv", raw_powers),
+                         ("moduli_recovered.csv", recovered),
+                         ("moduli_ideal.csv", ideal_moduli)):
+        run.write(name, optics.format_table(None, ",".join(["%.12g"] * 6),
+                                            *matrix.T))
     run.write("summary.txt", f"fidelity_vs_ideal = {fid:.6f}\n")
     print(f"characterize: fidelity vs ideal chip = {fid:.4f}")
     return 0
@@ -177,29 +147,21 @@ def cmd_calibrate(settings) -> int:
     run = _Run("calibrate", settings)
     model = calibration.CrossTalkModel.reference()
 
-    lines = ["heater,B,C,phi0,alpha,residual,degenerate"]
-    if settings.get("_sweep"):
-        sweep = calibration.read_sweep_csv(settings["_sweep"], settings["units"])
-        fit = calibration.fit_sweep(sweep)
-        lines.append(
-            f"external,{fit.b:.12g},{fit.c:.12g},{fit.phi0:.12g},"
-            f"{fit.alpha:.12g},{fit.residual:.12g},{fit.degenerate}"
-        )
+    if settings["sweep"]:
+        heaters = ["external"]
+        sweeps = [calibration.read_sweep_csv(settings["sweep"],
+                                             settings["units"])]
     else:
+        heaters = range(1, 9)
         currents = np.arange(0.0, 20.0 + 1e-9, 0.15)
-        for heater in range(8):
-            alpha = model.matrix[heater, heater]
-            phi0 = model.initial_phases[heater]
-            sweep = calibration.simulate_sweep(
-                0.5, 0.5, phi0, alpha, currents,
-                noise_sigma=settings["noise"], rng=rng,
-            )
-            fit = calibration.fit_sweep(sweep)
-            lines.append(
-                f"{heater + 1},{fit.b:.12g},{fit.c:.12g},{fit.phi0:.12g},"
-                f"{fit.alpha:.12g},{fit.residual:.12g},{fit.degenerate}"
-            )
-    run.write("calibration_fits.csv", "\n".join(lines) + "\n")
+        sweeps = [calibration.simulate_sweep(
+            0.5, 0.5, model.initial_phases[h], model.matrix[h, h], currents,
+            noise_sigma=settings["noise"], rng=rng) for h in range(8)]
+    fits = [(f.b, f.c, f.phi0, f.alpha, f.residual, f.degenerate)
+            for f in map(calibration.fit_sweep, sweeps)]
+    run.write("calibration_fits.csv", optics.format_table(
+        "heater,B,C,phi0,alpha,residual,degenerate",
+        "%s" + ",%.12g" * 5 + ",%s", heaters, *zip(*fits)))
     run.write("crosstalk_model.txt", calibration.format_crosstalk_table(model))
 
     # round-trip demonstration: realize a mid-range phase target
@@ -207,14 +169,10 @@ def cmd_calibrate(settings) -> int:
     currents = calibration.solve_currents(model, target)
     realized = calibration.apply_crosstalk(model, calibration.quantize(currents))
     err = np.max(np.abs(np.mod(realized - target + np.pi, 2 * np.pi) - np.pi))
-    body = ["channel,target_rad,current_mA,realized_rad"]
-    for ch in range(8):
-        body.append(
-            f"{ch + 1},{target[ch]:.12g},{currents.values[ch]:.12g},"
-            f"{realized[ch]:.12g}"
-        )
-    body.append(f"max_wrapped_error_rad,{err:.6g},,")
-    run.write("current_solution.csv", "\n".join(body) + "\n")
+    run.write("current_solution.csv", optics.format_table(
+        "channel,target_rad,current_mA,realized_rad", "%d,%.12g,%.12g,%.12g",
+        np.arange(1, 9), target, currents.values, realized,
+    ) + f"max_wrapped_error_rad,{err:.6g},,\n")
     print(f"calibrate: fits written; quantized phase error {err:.2e} rad")
     return 0
 
@@ -229,9 +187,8 @@ def cmd_hom(settings) -> int:
     xs = np.linspace(0.0, 1.0, settings["x_points"])
     curve = sampler.hom_curve(U, xs)
     vis = sampler.hom_visibility(curve)
-    body = ["overlap_x,coincidence_probability"]
-    body.extend(f"{x:.12g},{p:.12g}" for x, p in zip(xs, curve))
-    run.write("hom_curve.csv", "\n".join(body) + "\n")
+    run.write("hom_curve.csv", optics.format_table(
+        "overlap_x,coincidence_probability", "%.12g,%.12g", xs, curve))
     run.write("summary.txt", f"visibility = {vis:.6f}\n")
     print(f"hom: curve over {xs.size} points, visibility {vis:.4f}")
     return 0
@@ -267,9 +224,9 @@ def cmd_qpt(settings) -> int:
     run.write("chi_real.csv", real_csv)
     run.write("chi_imag.csv", imag_csv)
     run.write("chi_eigenvalues.csv", eig_csv)
-    run.write("residuals.csv", "config,r1,r2,r3,r4\n" + "".join(
-        label + "," + ",".join(f"{v:.12g}" for v in row) + "\n"
-        for label, row in zip(dataset.labels(), result.residuals)))
+    run.write("residuals.csv", optics.format_table(
+        "config,r1,r2,r3,r4", "%s" + ",%.12g" * 4, dataset.labels(),
+        *result.residuals.T))
     run.write(
         "summary.txt",
         f"source = {source}\n"
@@ -299,7 +256,7 @@ def cmd_gates(settings) -> int:
     run = _Run("gates", settings)
     model_ref = calibration.CrossTalkModel.reference()
     dev = settings["ratio_dev"]
-    summary = ["gate,mean,std,min"]
+    stats = []
     for index, (name, kind, heater) in enumerate(GATE_HEATERS):
         model = gates.GateModel(
             kind=kind,
@@ -312,8 +269,9 @@ def cmd_gates(settings) -> int:
             model, settings["samples"], seed=settings["seed"] + index
         )
         run.write(f"hist_{name}.csv", gates.histogram_csv(hist))
-        summary.append(f"{name},{hist.mean:.6f},{hist.std:.6f},{hist.minimum:.6f}")
-    run.write("gate_summary.csv", "\n".join(summary) + "\n")
+        stats.append((name, hist.mean, hist.std, hist.minimum))
+    run.write("gate_summary.csv", optics.format_table(
+        "gate,mean,std,min", "%s,%.6f,%.6f,%.6f", *zip(*stats)))
     print("gates: histograms for 8 gates written")
     return 0
 
@@ -331,98 +289,93 @@ def cmd_vqe(settings) -> int:
 
     chip = optics.ChipParameters.ideal()
     shots = None if settings["exact"] else settings["shots"]
-    summary = ["distance_angstrom,E_vqe,E_oracle,gap,stagnated,sweeps,"
-               "evaluations"]
+    # sampled runs record counts C1..C4, exact runs the post-selected
+    # probabilities P1..P4 of each basis
+    record, record_format = ("P", ",%.12g") if shots is None else ("C", ",%d")
+    header = ("iteration,phi1,phi2,phi3,phi4,energy,best_energy,"
+              + ",".join(f"{record}{j}_{basis}" for basis in ("hh", "dd")
+                         for j in range(1, 5)) + ",out_of_bounds")
+    row_format = "%d" + ",%.12g" * 4 + ",%.10f" * 2 + record_format * 8 + ",%s"
+    summary = []
     for distance, h in rows:
         result = vqe.run_vqe(chip, h, shots_per_basis=shots,
                              seed=settings["seed"])
         gap = result.best_energy - result.oracle_energy
-        summary.append(
-            f"{distance:.6g},{result.best_energy:.8f},"
-            f"{result.oracle_energy:.8f},{gap:.2e},{result.stagnated},"
-            f"{result.sweeps},{len(result.trace.energies)}"
-        )
         t = result.trace
-        # sampled runs record counts C1..C4, exact runs the post-selected
-        # probabilities P1..P4 of each basis
-        record = "P" if shots is None else "C"
-        columns = [f"{record}{j}_{basis}" for basis in ("hh", "dd")
-                   for j in range(1, 5)]
-        body = ["iteration,phi1,phi2,phi3,phi4,energy,best_energy,"
-                + ",".join(columns) + ",out_of_bounds"]
-        for i in range(len(t.iterations)):
-            row = [str(t.iterations[i])]
-            row.extend(f"{p:.12g}" for p in t.phases[i])
-            row.append(f"{t.energies[i]:.10f}")
-            row.append(f"{t.best_energies[i]:.10f}")
-            row.extend(f"{c:.12g}" if shots is None else str(c)
-                       for c in t.records_hh[i] + t.records_dd[i])
-            row.append(str(t.out_of_bounds[i]))
-            body.append(",".join(row))
+        summary.append((distance, result.best_energy, result.oracle_energy,
+                        gap, result.stagnated, result.sweeps,
+                        len(t.energies)))
         tag = f"{distance:g}".replace(".", "p")
-        run.write(f"trace_{tag}A.csv", "\n".join(body) + "\n")
+        run.write(f"trace_{tag}A.csv", optics.format_table(
+            header, row_format, t.iterations, *zip(*t.phases), t.energies,
+            t.best_energies, *zip(*t.records_hh), *zip(*t.records_dd),
+            t.out_of_bounds))
         print(f"vqe: d={distance} A -> E={result.best_energy:.6f} "
               f"(oracle {result.oracle_energy:.6f}, gap {gap:.2e})")
-    run.write("vqe_summary.csv", "\n".join(summary) + "\n")
+    run.write("vqe_summary.csv", optics.format_table(
+        "distance_angstrom,E_vqe,E_oracle,gap,stagnated,sweeps,evaluations",
+        "%.6g,%.8f,%.8f,%.2e,%s,%d,%d", *zip(*summary)))
     return 0
 
 
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The CLI parser and its command parsers by name."""
     parser = _Parser(prog="dualrail",
                      description="two-qubit photonic processor twin")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value settings file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="key = value file of this command's settings")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="out", help="output directory")
+        return p
 
-    p = sub.add_parser("characterize", help="classical |U|^2 characterization")
-    common(p)
+    p = command("characterize", "classical |U|^2 characterization")
     p.add_argument("--chip", help="chip parameter file")
-    p.add_argument("--ratio-sigma", dest="ratio_sigma", type=float)
+    p.add_argument("--ratio-sigma", type=float, default=0.0)
 
-    p = sub.add_parser("calibrate", help="sweep fitting and current solving")
-    common(p)
-    p.add_argument("--noise", type=float, help="relative sweep noise")
-    p.add_argument("--sweep", dest="_sweep", help="ingest a sweep CSV")
-    p.add_argument("--units", choices=_CHOICES["units"])
+    p = command("calibrate", "sweep fitting and current solving")
+    p.add_argument("--noise", type=float, default=0.01,
+                   help="relative sweep noise")
+    p.add_argument("--sweep", help="ingest a sweep CSV")
+    p.add_argument("--units", choices=("mA", "relative"), default="mA")
 
-    p = sub.add_parser("hom", help="two-photon interference dip")
-    common(p)
-    p.add_argument("--x-points", dest="x_points", type=int)
+    p = command("hom", "two-photon interference dip")
+    p.add_argument("--x-points", type=int, default=51)
 
-    p = sub.add_parser("qpt", help="process tomography of the CNOT")
-    common(p)
-    p.add_argument("--simulate", action="store_true", default=None)
+    p = command("qpt", "process tomography of the CNOT")
+    p.add_argument("--simulate", action="store_true")
     p.add_argument("--ingest", help="counts CSV (default: bundled reference)")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--x", type=float, help="photon overlap for simulation")
+    p.add_argument("--shots", type=int, default=2000)
+    p.add_argument("--x", type=float, default=1.0,
+                   help="photon overlap for simulation")
     p.add_argument("--chip", help="chip parameter file")
     p.add_argument("--r5", type=float)
     p.add_argument("--r9", type=float)
     p.add_argument("--theta1", type=float)
-    p.add_argument("--phase-bias", dest="phase_bias", type=float)
-    p.add_argument("--ratio-sigma", dest="ratio_sigma", type=float)
-    p.add_argument("--starts", type=int, help="ignored (the fit has no restarts)")
+    p.add_argument("--phase-bias", type=float, default=0.0)
+    p.add_argument("--ratio-sigma", type=float, default=0.0)
+    p.add_argument("--starts", type=int, default=argparse.SUPPRESS,
+                   help="ignored (the fit has no restarts)")
 
-    p = sub.add_parser("gates", help="single-qubit gate fidelity histograms")
-    common(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--ratio-dev", dest="ratio_dev", type=float)
+    p = command("gates", "single-qubit gate fidelity histograms")
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--ratio-dev", type=float, default=0.0)
 
-    p = sub.add_parser("vqe", help="hydrogen ground-state estimation")
-    common(p)
+    p = command("vqe", "hydrogen ground-state estimation")
     p.add_argument("--hamiltonian", help="(distance f0..f4) table")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--exact", action="store_true", default=None)
-    p.add_argument("--optimizer", choices=_CHOICES["optimizer"],
+    p.add_argument("--shots", type=int, default=2000)
+    p.add_argument("--exact", action="store_true")
+    p.add_argument("--optimizer", choices=("nelder-mead", "spsa"),
+                   default=argparse.SUPPRESS,
                    help="ignored (both modes run coordinate descent)")
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -436,12 +389,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        settings = _resolve(args)
-        if getattr(args, "_sweep", None):
-            settings["_sweep"] = args._sweep
+        command = commands[args.command]
+        if hasattr(args, "config"):
+            # the file's values become the command's defaults: flags win
+            command.set_defaults(**_config_values(command, args.config))
+            args = parser.parse_args(argv)
+        settings = {key: getattr(args, key) for key in _setting_actions(command)}
         return _COMMANDS[args.command](settings)
     except (ValueError, DegenerateDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,12 +134,9 @@ def fidelity_histogram(
 
 
 def histogram_csv(hist: FidelityHistogram) -> str:
-    lines = ["sample_index,target_phase,realized_phase,fidelity"]
-    for i in range(hist.targets.size):
-        lines.append(
-            f"{i},{hist.targets[i]:.12g},{hist.realized[i]:.12g},"
-            f"{hist.fidelities[i]:.12g}"
-        )
-    lines.append(f"summary,mean={hist.mean:.6f},std={hist.std:.6f},"
-                 f"min={hist.minimum:.6f}")
-    return "\n".join(lines) + "\n"
+    summary = (f"summary,mean={hist.mean:.6f},std={hist.std:.6f},"
+               f"min={hist.minimum:.6f}\n")
+    return optics.format_table(
+        "sample_index,target_phase,realized_phase,fidelity",
+        "%d,%.12g,%.12g,%.12g", np.arange(hist.targets.size), hist.targets,
+        hist.realized, hist.fidelities) + summary

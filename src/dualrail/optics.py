@@ -373,7 +373,8 @@ def sinkhorn_scale(
 
 
 # ---------------------------------------------------------------------------
-# key-value config files: R1..R13, phi1..phi8, theta1, theta2
+# text files: key-value chip files (R1..R13, phi1..phi8, theta1, theta2)
+# and CSV tables
 
 
 def save_chip_parameters(params: ChipParameters, path) -> None:
@@ -401,6 +402,19 @@ def read_key_values(path) -> dict[str, str]:
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
     return values
+
+
+def format_table(header: str | None, row_format: str, *columns) -> str:
+    """A `header` line, then `row_format % row` for each row of the columns.
+
+    A column is an array, read through `.tolist()`, or a sequence, read as
+    it is; `%` prints a numpy scalar as the Python number it holds.
+    `header` None writes no header line.
+    """
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns))
+    lines = [row_format % row for row in rows]
+    return "\n".join(lines if header is None else [header, *lines]) + "\n"
 
 
 def load_chip_parameters(path) -> ChipParameters:

@@ -17,7 +17,6 @@ dataset consistent with the textbook CNOT this module compares against.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,11 +208,9 @@ class QptDataset:
 
 
 def dataset_to_csv(dataset: QptDataset) -> str:
-    buf = io.StringIO()
-    buf.write("config,C1,C2,C3,C4,sum\n")
-    for label, c in dataset.records:
-        buf.write(f"{label},{c[0]},{c[1]},{c[2]},{c[3]},{sum(c)}\n")
-    return buf.getvalue()
+    rows = [(label, *c, sum(c)) for label, c in dataset.records]
+    return optics.format_table("config,C1,C2,C3,C4,sum", "%s,%d,%d,%d,%d,%d",
+                               *zip(*rows))
 
 
 def dataset_from_csv(text: str) -> QptDataset:
@@ -616,17 +613,13 @@ def simulate_dataset_from_chi(
 def export_chi_csv(chi: np.ndarray) -> tuple[str, str, str]:
     """Real part, imaginary part, and eigenvalue summary as CSV texts."""
     chi = np.asarray(chi)
-    header = "," + ",".join(PAULI_LABELS) + "\n"
+    header = "," + ",".join(PAULI_LABELS)
+    row_format = "%s" + ",%.12g" * len(PAULI_LABELS)
 
     def table(part):
-        buf = io.StringIO()
-        buf.write(header)
-        for i, label in enumerate(PAULI_LABELS):
-            buf.write(label + "," + ",".join(f"{v:.12g}" for v in part[i]) + "\n")
-        return buf.getvalue()
+        return optics.format_table(header, row_format, PAULI_LABELS, *part.T)
 
     eigs = np.linalg.eigvalsh(chi)[::-1]
-    summary = "index,eigenvalue\n" + "".join(
-        f"{i},{v:.12g}\n" for i, v in enumerate(eigs)
-    )
+    summary = optics.format_table("index,eigenvalue", "%d,%.12g",
+                                  np.arange(eigs.size), eigs)
     return table(np.real(chi)), table(np.imag(chi)), summary

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,17 +165,47 @@ class TestDeterminism:
         for name in tree_a:
             assert tree_a[name] == tree_b[name], name
 
-    def test_starts_is_ignored(self, tmp_path):
-        # --starts parses but does not change the fit; it enters only the
-        # settings hash in the header
+    @staticmethod
+    def trees_with_ignored_flag(tmp_path, argv, flag, values):
+        """Output trees of `argv` without `flag`, then with each value."""
         trees = []
-        for starts in ("1", "4"):
-            out = tmp_path / starts
-            assert run(["qpt", "--simulate", "--seed", "3", "--starts", starts,
-                        "--out", str(out)]) == 0
-            trees.append({name: body.split(b"\n", 3)[3]
-                          for name, body in read_tree(out).items()})
-        assert trees[0] == trees[1]
+        for extra in ([], *([flag, v] for v in values)):
+            out = tmp_path / str(len(trees))
+            assert run(argv + extra + ["--out", str(out)]) == 0
+            trees.append(read_tree(out))
+        return trees
+
+    # --starts and --optimizer parse but are not settings: they change
+    # neither the outputs nor the settings hash in their headers
+    def test_starts_is_ignored(self, tmp_path):
+        trees = self.trees_with_ignored_flag(
+            tmp_path, ["qpt", "--simulate", "--seed", "3"], "--starts",
+            ("1", "4"))
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_optimizer_is_ignored(self, tmp_path):
+        trees = self.trees_with_ignored_flag(
+            tmp_path, ["vqe", "--shots", "200", "--seed", "7"], "--optimizer",
+            ("spsa", "nelder-mead"))
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_config_sweep_matches_flag(self, tmp_path):
+        import numpy as np
+        from dualrail import calibration as cal
+        sweep = cal.simulate_sweep(0.5, 0.4, 0.2, 0.0437,
+                                   np.arange(0.0, 20.0, 0.15))
+        path = tmp_path / "sweep.csv"
+        path.write_text("".join(f"{c!r},{p!r}\n" for c, p in
+                                zip(sweep.currents.tolist(),
+                                    sweep.powers.tolist())))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"sweep = {path}\n")
+        assert run(["calibrate", "--config", str(cfg),
+                    "--out", str(tmp_path / "cfg")]) == 0
+        assert run(["calibrate", "--sweep", str(path),
+                    "--out", str(tmp_path / "flag")]) == 0
+        assert read_tree(tmp_path / "cfg") == read_tree(tmp_path / "flag")
+        assert "external" in (tmp_path / "cfg" / "calibration_fits.csv").read_text()
 
     def test_seed_changes_output(self, tmp_path):
         out_a = tmp_path / "a"
@@ -206,6 +237,19 @@ class TestExitCodes:
         assert run(["hom", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 1
 
+    # a config file may set only the command's own settings: not another
+    # command's, and not the ignored --starts and --optimizer
+    @pytest.mark.parametrize("command, line", [
+        ("hom", "shots = 7"), ("qpt", "starts = 1"), ("vqe", "optimizer = spsa"),
+    ])
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys,
+                                                   command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 1
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+
     def test_short_dataset_rejected(self, tmp_path):
         data = tmp_path / "short.csv"
         data.write_text("config,C1,C2,C3,C4,sum\nHHhh,1,2,3,4,10\n")
@@ -222,7 +266,7 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, line", [
-        ("vqe", "exact = on"), ("vqe", "optimizer = bogus"),
+        ("vqe", "exact = on"), ("hom", "x_points = many"),
         ("calibrate", "units = furlongs"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, line):
@@ -310,3 +354,24 @@ class TestImportsLoadNoScipy:
         code = ("from dualrail import cli\n"
                 f"assert cli.main({argv + ['--out', 'out']!r}) == 0")
         assert self.scipy_modules_after(code, tmp_path) == []
+
+
+class TestSyntaxFloor:
+    # pyproject.toml declares the oldest Python the code must run on; parse
+    # every source file with that version's grammar. This checks syntax
+    # only, not whether each stdlib API used exists in that version.
+    ROOT = SRC.parent
+
+    def floor(self):
+        text = (self.ROOT / "pyproject.toml").read_text()
+        major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                 text).groups()
+        return int(major), int(minor)
+
+    @pytest.mark.parametrize("folder", ["src", "tests", "benchmarks"])
+    def test_sources_parse_at_floor(self, folder):
+        paths = sorted((self.ROOT / folder).rglob("*.py"))
+        assert paths
+        for path in paths:
+            ast.parse(path.read_text(), filename=str(path),
+                      feature_version=self.floor())

@@ -174,29 +174,31 @@ class TestBatchedPath:
 
 
 # SHA-256 of every `gates --out` file, recorded from the per-sample loop
-# this batched path replaced; the maths did not change, so neither may a byte
+# this batched path replaced; the maths did not change, so neither may a byte.
+# Pinned again when the settings hash came to cover only the command's own
+# settings: that changed each file's `# config_hash` line and nothing else.
 GOLDEN_DIGESTS = {
     ("--samples", "20", "--seed", "7"): {
-        "gate_summary.csv": "6be947a46bd1bf44d55d4fdd29d92d83fe72fdac4595ca4e05a08d58f9628a37",
-        "hist_Rx1.csv": "a68732b0b2224a9af3e261de86837d6f7586492c6cace25733b816a6534f0dcb",
-        "hist_Rx2.csv": "a093b741f138fa7890f04f84570eddb219f92a4c1f16f626ce16a2f6005e8634",
-        "hist_Rx3.csv": "55552ef06f55a39f9e659f0dd183349816ee00ac7e174b3db8eb1ea2c39a1f3c",
-        "hist_Rx4.csv": "6da3a27b5a3d0eecbf652b9e3d0af696486bd663d882eeed1cfb3f58be375dd3",
-        "hist_Rz1.csv": "ae99b8b2edd8159731f4238aff752ee1afa78394c2660dd53311295b43cb0500",
-        "hist_Rz2.csv": "bf9e209160985bd03cee45aad2238c7ca3fd605fe976ed78de534e85d144bd84",
-        "hist_Rz3.csv": "f4debaddeaf77e8a6c03b1ca3c91ed7634239ee831f3a59078336a84c6181847",
-        "hist_Rz4.csv": "731c47c0ba5506d520ab3d108949ff9a8bc7813ebf966c8fe3f21f9ac79a73a5",
+        "gate_summary.csv": "21abca748e76a13ebd245d28bca9500727c8ddd5c0900d3a6a0cc61a23a0b883",
+        "hist_Rx1.csv": "07eaa35a1c1c5e6b10bb7cb3948dd5837f4f4962d43ee1de0b33cfc0cc3e809d",
+        "hist_Rx2.csv": "5cea72a69c682f2a74dd29a89b49e8b17460f3c7f6210084cef559e8cb5c7608",
+        "hist_Rx3.csv": "76ca941245c717ebece8af519ea0eb54d9dc824da9b69f6f7a3e839fbda6c4c1",
+        "hist_Rx4.csv": "a9ba4955a69b11ae8f4124529bd1808f39c078f2839dedaf4795eea14fa12c7c",
+        "hist_Rz1.csv": "3d23bc7e4387c1fb0e772fe2b0b92be647bec8e1fe9de6a482f559cf322f983f",
+        "hist_Rz2.csv": "34fc575d66203bd175c06e6b102eebd388b799affef8c7d3cc1036ae6df2105e",
+        "hist_Rz3.csv": "87a0710bf0b2ec4a9d82d19e858b717412f9ddb51d276ef93d61436aa6635b0e",
+        "hist_Rz4.csv": "7be4ffc1037b0f799934094f0b12d0f64b2c68b9cd15d81ae50d7f118ad1ac41",
     },
     ("--samples", "1000", "--ratio-dev", "0.0150", "--seed", "12345"): {
-        "gate_summary.csv": "86f96f93e34db259828dbabaecb7285c244aafd0503b6274d5ac3706144ae9d7",
-        "hist_Rx1.csv": "5296c647a49e90f5b887419eed9110cf41e0467f2a98480c2751c78443607d7b",
-        "hist_Rx2.csv": "fd87926103b57a94e9799c1c13ae79982f93b770cbb2f2992f14ff297e979c7e",
-        "hist_Rx3.csv": "09377250f2271dd26b89359ed78cf8d9125bd1ad8eb6ff0a8727008970d5036c",
-        "hist_Rx4.csv": "7fe798e3a7bdf4786f78964ca6a8e047b0c2eff1fca26851e584aed0d55e0ca1",
-        "hist_Rz1.csv": "33772a5107d48d64341fa1d22beab72e466fac756c055a0dbe724905327b459b",
-        "hist_Rz2.csv": "aa310a5411b175e74fee6cc3c671dbea597d67ef5b77a61e743b50346773a8e5",
-        "hist_Rz3.csv": "438d1f81263dc76e79ea07995a028763685d7e272043965669acf7a3d86f7391",
-        "hist_Rz4.csv": "e5ef6694913bcdf5f5e47b6efb36c0ff0f0919b14f174a9b9a7b82ed86809876",
+        "gate_summary.csv": "01fa0b8802d683d79cb208aee4cba10350ef615c664e944efa482d5ed0491f63",
+        "hist_Rx1.csv": "946ce4297684aeb080d4d5f7f07652afdba7f7ac656ff6a6f6e71a6fe51bebc5",
+        "hist_Rx2.csv": "6573edc6c70968fb54d3d230088073d0c5b3da8742db75129450e64fc90df9fc",
+        "hist_Rx3.csv": "6daa4664906c0ee837ce7d8d93b86b51f7edbdaa75c93cc1b09b17e772487ac4",
+        "hist_Rx4.csv": "35e2117aaea36b116e968f29a488a5848088b5bc19831539e03a10e742ae87d9",
+        "hist_Rz1.csv": "4a8b2d0c01f75815c0b6aaa6e05b417fd7f423b7a125df21338895e22e69a823",
+        "hist_Rz2.csv": "eff86d47712dd2d5bc4d55208b59975547626fabd7ed20acd6766f3a1bf00e4b",
+        "hist_Rz3.csv": "1d81102cbdf6b7887316d48b629a9ece97385a14f65697500a9852027b537286",
+        "hist_Rz4.csv": "bef4cb5b086b7c17dd1e38f91893bfcd14c01f1faecaa16015f15a737c102c5d",
     },
 }
 

@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualrail import optics
 from dualrail.errors import ConvergenceError
@@ -334,6 +335,44 @@ class TestSinkhorn:
             warnings.simplefilter("error")
             out = optics.sinkhorn_scale(m)
         assert np.max(np.abs(out - np.eye(2))) < 1e-9
+
+
+class TestFormatTable:
+    # the CSV writers format through `format_table`; each `%` code must
+    # print what the per-value f-string it replaced printed, numpy scalar
+    # or Python number alike
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(values=st.lists(st.floats(allow_subnormal=True), max_size=8))
+    @example(values=[math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16,
+                     0.5, 2.5, 1.5e-7, 123456789012.5, 1.7976931348623157e308])
+    def test_float_codes_match_f_strings(self, values):
+        codes = (".12g", ".10f", ".6g", ".8f", ".6f", ".2e")
+        x = np.array(values, dtype=float)
+        expected = "v\n" + "".join(
+            ",".join(format(v, c) for c in codes) + "\n" for v in x)
+        row_format = ",".join("%" + c for c in codes)
+        # an array, a list of numpy scalars and a list of Python floats
+        for column in (x, list(x), values):
+            assert optics.format_table(
+                "v", row_format, *[column] * len(codes)) == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(rows=st.lists(st.tuples(st.integers(), st.booleans(),
+                                   st.integers(-2 ** 63, 2 ** 63 - 1)),
+                         max_size=8))
+    def test_int_and_bool_codes_match_f_strings(self, rows):
+        ints, flags, int64s = [list(c) for c in zip(*rows)] or [[], [], []]
+        int64s = np.array(int64s, dtype=np.int64)
+        expected = "a,b,c\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in zip(ints, flags, int64s))
+        for columns in ((ints, flags, int64s), (ints, np.array(flags, bool),
+                                                list(int64s))):
+            assert optics.format_table("a,b,c", "%d,%s,%d", *columns) == expected
+
+    def test_header_none_and_no_rows(self):
+        assert optics.format_table(None, "%d,%d", [1, 2], [3, 4]) == "1,3\n2,4\n"
+        assert optics.format_table("a,b", "%d,%d", [], []) == "a,b\n"
 
 
 class TestPostSelectedTruthTable:

@@ -402,21 +402,23 @@ class TestTables:
 # SHA-256 of every --out file of `vqe` runs, pinned when both modes moved to
 # coordinate descent. The exact-mode trace was pinned again when the forward
 # model moved to the amplitude tensor: its energies are flat along phi4 after
-# convergence, so rounding picks where the grid minimum lands. The test keeps
-# its name, and the entries keep their order, so that the ids of the cases
-# stay as they were.
+# convergence, so rounding picks where the grid minimum lands. All were
+# pinned again when the settings hash came to cover only the command's own
+# settings (so no longer the ignored --optimizer): that changed each file's
+# `# config_hash` line and nothing else. The test keeps its name, and the
+# entries keep their order, so that the ids of the cases stay as they were.
 GOLDEN_DIGESTS = {
     ("--shots", "200", "--optimizer", "spsa", "--seed", "7"): {
-        "trace_0p4A.csv": "f1712e13e80f47af95284fd2585c5deded319f70e7de23bccd6e3fb9e04db75e",
-        "vqe_summary.csv": "fc962df3ac6687dac158232c9a1eaff17dc458ecb0095d716c32a151905a44fe",
+        "trace_0p4A.csv": "fc0b2c9797053c0ad5296bc705790a65facc8b00c0a9f621b7e1c0d172d94f66",
+        "vqe_summary.csv": "a4ddb802677eb062ec148dd3e551272f8aa8dba4851f089ab54fa4ec55f1ba07",
     },
     ("--shots", "2000", "--optimizer", "spsa", "--seed", "5"): {
-        "trace_0p4A.csv": "de7b6efdd203211a6a3e0468d0eb8dd00e56324970db6af2c8115b11892f27d8",
-        "vqe_summary.csv": "cd442c49bced72d13457a4e5de2d452629578b83b95f454adf8027206909f065",
+        "trace_0p4A.csv": "1944897a56af9b7f2daf4deb55854461751b9749f2049095ba1928078e6da10d",
+        "vqe_summary.csv": "d9e20d75dab5f761873c37fa2f2e95470fad440dcc712b268af2705cde75d222",
     },
     ("--exact", "--seed", "0"): {
-        "trace_0p4A.csv": "a5743d8a297d218d00712f65e0311a5ec7835bb32ca57c62feba6fca35f43d54",
-        "vqe_summary.csv": "ebd432d2b94331837965b7d1cc22ee66669f8599b5987230bfba161ddc86f381",
+        "trace_0p4A.csv": "c478d2eb89d4e7e0a8fbf1d8a6860d6bc1e9b12d8deeaf12e1b4573b97bb3440",
+        "vqe_summary.csv": "e442920268b6c9065cf85d2c2529fc3a32772f9f117c93f7c241f5ea9f740753",
     },
 }
 
