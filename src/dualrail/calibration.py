@@ -378,15 +378,15 @@ def parse_crosstalk_table(text: str) -> CrossTalkModel:
     """Parse the bundled heater table (A rows in 1e-2 rad/mA^2, then Phi0)."""
     rows = []
     phi0 = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0].lower() == "phi0":
-            phi0 = [float(v) for v in parts[1:]]
+    for lineno, line in optics.data_lines(text):
+        name, *fields = line.split()
+        values = optics.parse_fields(fields, lineno, 8)
+        if name.lower() != "phi0":
+            rows.append(values)
+        elif phi0 is None:
+            phi0 = values
         else:
-            rows.append([float(v) for v in parts[1:]])
+            raise ValueError(f"line {lineno}: a second phi0 row")
     if len(rows) != 8 or phi0 is None:
         raise ValueError("expected 8 heater rows and a phi0 row")
     a = np.array(rows) * 1e-2
@@ -401,20 +401,13 @@ def format_crosstalk_table(model: CrossTalkModel) -> str:
     ) + phi0 + "\n"
 
 
-def read_sweep_csv(path, units: str = "mA") -> CalibrationSweep:
-    """Load a two-column (current, power) sweep; `units` is mA or relative."""
+def read_sweep_csv(text: str, units: str = "mA") -> CalibrationSweep:
+    """Parse a two-column (current, power) sweep; `units` is mA or relative."""
     if units not in ("mA", "relative"):
         raise ValueError("units must be 'mA' or 'relative'")
-    currents, powers = [], []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line or line.lower().startswith("current"):
-                continue
-            a, b = line.replace(",", " ").split()[:2]
-            currents.append(float(a))
-            powers.append(float(b))
-    x = np.array(currents)
+    rows = [optics.parse_fields(line.replace(",", " ").split()[:2], lineno, 2)
+            for lineno, line in optics.data_lines(text, "current")]
+    currents, powers = np.array(rows).reshape(-1, 2).T
     if units == "relative":
-        x = x * RELATIVE_UNIT_MA
-    return CalibrationSweep(x, np.array(powers))
+        currents = currents * RELATIVE_UNIT_MA
+    return CalibrationSweep(currents, powers)

@@ -2,8 +2,9 @@
 
 A command's settings are its own flags.  An optional key = value config
 file may set any of them (flags win); every output file is stamped with the
-hash of the command's settings and the seed, and is byte-reproducible for a
-fixed seed.
+hash of the command's settings, input files by their contents, and the
+seed, and is byte-reproducible for a fixed seed.  This module is the only
+one that reads files: the library parses text.
 
 Exit codes: 0 success, 1 validation error, 2 convergence or infeasibility.
 """
@@ -45,44 +46,45 @@ def _setting_actions(command: argparse.ArgumentParser) -> dict:
             if a.default is not argparse.SUPPRESS}
 
 
-def _config_values(command: argparse.ArgumentParser, path) -> dict:
-    """The settings a config file sets, cast and checked as their flags."""
+# the settings that name an input file, each the name of its flag
+_INPUT_FILES = ("chip", "sweep", "ingest", "hamiltonian")
+
+
+def _read(flag: str, path: str) -> str:
+    """The text of the file `path` given to --`flag`."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read --{flag} {path}: {exc}") from None
+
+
+def _config_values(command: argparse.ArgumentParser, text: str) -> dict:
+    """The settings a config file's text sets, cast and checked as flags."""
     actions = _setting_actions(command)
-    values = {}
-    for key, text in optics.read_key_values(path).items():
-        key = key.replace("-", "_")
-        if key not in actions:
-            raise ValueError(f"config key {key!r} is not a setting of "
-                             f"{command.prog}")
-        action = actions[key]
-        cast = _boolean if action.nargs == 0 else action.type or str
-        try:
-            values[key] = cast(text)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-        if action.choices and values[key] not in action.choices:
+    values = optics.read_key_values(text, {
+        key: _boolean if a.nargs == 0 else a.type or str
+        for key, a in actions.items()})
+    for key, value in values.items():
+        if actions[key].choices and value not in actions[key].choices:
             raise ValueError(f"config key {key!r} must be one of "
-                             f"{', '.join(action.choices)}, got {text!r}")
+                             f"{', '.join(actions[key].choices)}, got {value!r}")
     return values
-
-
-def _settings_hash(settings: dict, command: str) -> str:
-    # the output directory is not part of the experiment definition
-    canon = command + ";" + ";".join(
-        f"{k}={settings[k]}" for k in sorted(settings) if k != "out"
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 class _Run:
     """Output directory with stamped, reproducible file writes."""
 
-    def __init__(self, command: str, settings: dict):
-        self.command = command
-        self.settings = settings
+    def __init__(self, command: str, settings: dict, inputs: dict):
+        # the stamp hashes the settings with the digest of each input file's
+        # contents in place of its path, and without the output directory
+        values = {**settings, **{key: hashlib.sha256(text.encode()).hexdigest()
+                                 for key, text in inputs.items()}}
+        canon = command + ";" + ";".join(
+            f"{k}={values[k]}" for k in sorted(values) if k != "out"
+        )
         self.header = (
             f"# command: {command}\n"
-            f"# config_hash: {_settings_hash(settings, command)}\n"
+            f"# config_hash: {hashlib.sha256(canon.encode()).hexdigest()[:16]}\n"
             f"# seed: {settings['seed']}\n"
         )
         self.outdir = Path(settings["out"])
@@ -94,9 +96,9 @@ class _Run:
         return path
 
 
-def _chip_from_settings(settings, rng=None) -> optics.ChipParameters:
-    chip = (optics.load_chip_parameters(settings["chip"])
-            if settings["chip"] else optics.ChipParameters.ideal())
+def _chip_from_settings(settings, inputs, rng=None) -> optics.ChipParameters:
+    chip = (optics.load_chip_parameters(inputs["chip"])
+            if "chip" in inputs else optics.ChipParameters.ideal())
     sigma = settings["ratio_sigma"]
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"ratio_sigma must be finite and >= 0, got {sigma}")
@@ -118,10 +120,10 @@ def _chip_from_settings(settings, rng=None) -> optics.ChipParameters:
 # commands
 
 
-def cmd_characterize(settings) -> int:
+def cmd_characterize(settings, inputs) -> int:
     rng = np.random.default_rng(settings["seed"])
-    chip = _chip_from_settings(settings, rng)
-    run = _Run("characterize", settings)
+    chip = _chip_from_settings(settings, inputs, rng)
+    run = _Run("characterize", settings, inputs)
 
     ideal_moduli = np.abs(optics.build_chip_unitary(optics.ChipParameters.ideal())) ** 2
     true_moduli = np.abs(optics.build_chip_unitary(chip)) ** 2
@@ -142,14 +144,14 @@ def cmd_characterize(settings) -> int:
     return 0
 
 
-def cmd_calibrate(settings) -> int:
+def cmd_calibrate(settings, inputs) -> int:
     rng = np.random.default_rng(settings["seed"])
-    run = _Run("calibrate", settings)
+    run = _Run("calibrate", settings, inputs)
     model = calibration.CrossTalkModel.reference()
 
-    if settings["sweep"]:
+    if "sweep" in inputs:
         heaters = ["external"]
-        sweeps = [calibration.read_sweep_csv(settings["sweep"],
+        sweeps = [calibration.read_sweep_csv(inputs["sweep"],
                                              settings["units"])]
     else:
         heaters = range(1, 9)
@@ -177,11 +179,11 @@ def cmd_calibrate(settings) -> int:
     return 0
 
 
-def cmd_hom(settings) -> int:
+def cmd_hom(settings, inputs) -> int:
     if settings["x_points"] < 2:
         raise ValueError(f"a HOM curve needs at least 2 overlap points "
                          f"(x_points), got {settings['x_points']}")
-    run = _Run("hom", settings)
+    run = _Run("hom", settings, inputs)
     chip = optics.ChipParameters.ideal().with_phases(optics.IDENTITY_GATE_PHASES)
     U = optics.build_chip_unitary(chip)
     xs = np.linspace(0.0, 1.0, settings["x_points"])
@@ -194,27 +196,22 @@ def cmd_hom(settings) -> int:
     return 0
 
 
-def cmd_qpt(settings) -> int:
-    run = _Run("qpt", settings)
+def cmd_qpt(settings, inputs) -> int:
+    run = _Run("qpt", settings, inputs)
     if settings["simulate"]:
         rng = np.random.default_rng(settings["seed"])
-        chip = _chip_from_settings(settings, rng)
+        chip = _chip_from_settings(settings, inputs, rng)
         dataset = tomography.run_qpt_simulation(
             chip, x=settings["x"], shots_per_config=settings["shots"],
             seed=settings["seed"], phase_bias=settings["phase_bias"],
         )
         source = "simulated"
+    elif "ingest" in inputs:
+        dataset = tomography.dataset_from_csv(inputs["ingest"])
+        source = settings["ingest"]
     else:
-        if settings["ingest"]:
-            try:
-                text = Path(settings["ingest"]).read_text()
-            except OSError as exc:
-                raise ValueError(f"cannot read dataset: {exc}") from exc
-            dataset = tomography.dataset_from_csv(text)
-            source = settings["ingest"]
-        else:
-            dataset = tomography.load_reference_counts()
-            source = "bundled reference counts"
+        dataset = tomography.load_reference_counts()
+        source = "bundled reference counts"
 
     result = tomography.mle_reconstruct(dataset)
     fid = tomography.chi_fidelity(result.chi, tomography.ideal_cnot_chi())
@@ -252,8 +249,8 @@ GATE_HEATERS = (
 )
 
 
-def cmd_gates(settings) -> int:
-    run = _Run("gates", settings)
+def cmd_gates(settings, inputs) -> int:
+    run = _Run("gates", settings, inputs)
     model_ref = calibration.CrossTalkModel.reference()
     dev = settings["ratio_dev"]
     stats = []
@@ -276,16 +273,10 @@ def cmd_gates(settings) -> int:
     return 0
 
 
-def cmd_vqe(settings) -> int:
-    run = _Run("vqe", settings)
-    if settings["hamiltonian"]:
-        try:
-            text = Path(settings["hamiltonian"]).read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read Hamiltonian table: {exc}") from exc
-        rows = vqe.load_pauli_table(text)
-    else:
-        rows = [vqe.reference_hamiltonian()]
+def cmd_vqe(settings, inputs) -> int:
+    run = _Run("vqe", settings, inputs)
+    rows = (vqe.load_pauli_table(inputs["hamiltonian"])
+            if "hamiltonian" in inputs else [vqe.reference_hamiltonian()])
 
     chip = optics.ChipParameters.ideal()
     shots = None if settings["exact"] else settings["shots"]
@@ -395,10 +386,13 @@ def main(argv=None) -> int:
         command = commands[args.command]
         if hasattr(args, "config"):
             # the file's values become the command's defaults: flags win
-            command.set_defaults(**_config_values(command, args.config))
+            command.set_defaults(**_config_values(
+                command, _read("config", args.config)))
             args = parser.parse_args(argv)
         settings = {key: getattr(args, key) for key in _setting_actions(command)}
-        return _COMMANDS[args.command](settings)
+        inputs = {key: _read(key, settings[key]) for key in _INPUT_FILES
+                  if settings.get(key)}
+        return _COMMANDS[args.command](settings, inputs)
     except (ValueError, DegenerateDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -373,34 +373,54 @@ def sinkhorn_scale(
 
 
 # ---------------------------------------------------------------------------
-# text files: key-value chip files (R1..R13, phi1..phi8, theta1, theta2)
-# and CSV tables
+# text of chip files and tables: parsers take text, the CLI reads files
+
+# the keys of a chip file, in the order of the 23 numbers of ChipParameters
+_CHIP_KEYS = (*(f"R{j}" for j in range(1, 14)),
+              *(f"phi{j}" for j in range(1, 9)), "theta1", "theta2")
 
 
-def save_chip_parameters(params: ChipParameters, path) -> None:
-    lines = []
-    for j, r in enumerate(params.splitting_ratios, start=1):
-        lines.append(f"R{j} = {r!r}")
-    for j, p in enumerate(params.tunable_phases, start=1):
-        lines.append(f"phi{j} = {p!r}")
-    lines.append(f"theta1 = {params.static_phases[0]!r}")
-    lines.append(f"theta2 = {params.static_phases[1]!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def data_lines(text: str, header: str | None = None):
+    """(line number, stripped line) for each data line of `text`: `#` starts
+    a comment, and blank lines and lines starting with `header` (any case)
+    are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line and not (header and line.lower().startswith(header)):
+            yield lineno, line
 
 
-def read_key_values(path) -> dict[str, str]:
-    """The `key = value` lines of a text file; `#` starts a comment."""
+def parse_fields(fields, lineno: int, count: int, cast=float) -> list:
+    """The `count` fields of line `lineno`, each cast by `cast`; a wrong
+    count or a field the cast rejects raises a ValueError naming the line."""
+    if len(fields) != count:
+        raise ValueError(f"line {lineno}: expected {count} numbers, "
+                         f"got {len(fields)}")
+    try:
+        return [cast(f) for f in fields]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def read_key_values(text: str, casts: dict) -> dict:
+    """The `key = value` lines of `text`, each value cast by `casts[key]`.
+
+    A line without `=`, a key not in `casts`, a key given twice and a value
+    its cast rejects raise a ValueError that names the line.
+    """
     values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed key = value line: {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for lineno, line in data_lines(text):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
+        if key not in casts:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: {key!r} given again")
+        try:
+            values[key] = casts[key](value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key!r}: {exc}") from None
     return values
 
 
@@ -417,12 +437,18 @@ def format_table(header: str | None, row_format: str, *columns) -> str:
     return "\n".join(lines if header is None else [header, *lines]) + "\n"
 
 
-def load_chip_parameters(path) -> ChipParameters:
-    values = {key: float(val) for key, val in read_key_values(path).items()}
-    try:
-        ratios = tuple(values[f"R{j}"] for j in range(1, 14))
-        phases = tuple(values[f"phi{j}"] for j in range(1, 9))
-        static = (values["theta1"], values["theta2"])
-    except KeyError as exc:
-        raise ValueError(f"missing chip parameter {exc}") from exc
-    return ChipParameters(ratios, phases, static)
+def save_chip_parameters(params: ChipParameters) -> str:
+    """The text of a chip file: `key = value` for each key R1..R13,
+    phi1..phi8, theta1, theta2, the value written as its float's repr."""
+    return format_table(None, "%s = %r", _CHIP_KEYS, params.splitting_ratios
+                        + params.tunable_phases + params.static_phases)
+
+
+def load_chip_parameters(text: str) -> ChipParameters:
+    """Parse the text of a chip file, one line for each of its 23 keys."""
+    values = read_key_values(text, dict.fromkeys(_CHIP_KEYS, float))
+    missing = [key for key in _CHIP_KEYS if key not in values]
+    if missing:
+        raise ValueError(f"missing chip parameter {missing[0]!r}")
+    numbers = [values[key] for key in _CHIP_KEYS]
+    return ChipParameters(numbers[:13], numbers[13:21], numbers[21:])

@@ -196,9 +196,7 @@ def sample_counts(probabilities, n_events: int, rng: np.random.Generator):
     if p.ndim not in (1, 2) or p.shape[-1] != 4:
         raise ValueError(
             f"expected probabilities of shape (4,) or (K, 4), got shape {p.shape}")
-    if not (math.isfinite(n_events) and n_events == int(n_events) > 0):
-        raise ValueError(f"n_events must be a positive integer, got {n_events}")
-    return _draw(p, int(n_events), rng)
+    return _draw(p, _shot_count(n_events, "n_events"), rng)
 
 
 def _draw(p: np.ndarray, n_events: int, rng: np.random.Generator):

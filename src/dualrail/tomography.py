@@ -220,18 +220,11 @@ def dataset_from_csv(text: str) -> QptDataset:
     its published `sum` column, which disagrees with them in 28 of 64 rows.
     """
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.lower().startswith("config"):
-            continue
+    for lineno, line in optics.data_lines(text, "config"):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) < 5:
             raise ValueError(f"line {lineno}: expected config,C1..C4[,sum]")
-        try:
-            counts = tuple(int(p) for p in parts[1:5])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad count field ({exc})") from exc
-        records.append((parts[0], counts))
+        records.append((parts[0], optics.parse_fields(parts[1:5], lineno, 4, int)))
     if not records:
         raise ValueError("dataset file contains no records")
     return QptDataset(tuple(records))

@@ -421,15 +421,8 @@ def run_vqe(
 
 
 def _load_table(text: str, n_coefficients: int) -> list[list[float]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.lower().startswith("distance"):
-            continue
-        vals = [float(v) for v in line.split()]
-        if len(vals) != n_coefficients + 1:
-            raise ValueError(f"expected distance plus {n_coefficients} coefficients")
-        rows.append(vals)
+    rows = [optics.parse_fields(line.split(), lineno, n_coefficients + 1)
+            for lineno, line in optics.data_lines(text, "distance")]
     if not rows:
         raise ValueError("empty Hamiltonian table")
     return rows

@@ -74,6 +74,17 @@ class TestCrossTalkModel:
         assert np.allclose(again.matrix, model.matrix, atol=1e-12)
         assert np.allclose(again.initial_phases, model.initial_phases)
 
+    def test_second_phi0_row_rejected(self, model):
+        text = cal.format_crosstalk_table(model) + "phi0" + " 0" * 8 + "\n"
+        with pytest.raises(ValueError, match="^line 11: a second phi0 row$"):
+            cal.parse_crosstalk_table(text)
+
+    def test_short_row_names_its_line(self, model):
+        text = cal.format_crosstalk_table(model).replace(" 0\n", "\n", 1)
+        with pytest.raises(ValueError,
+                           match="^line 2: expected 8 numbers, got 7$"):
+            cal.parse_crosstalk_table(text)
+
 
 class TestCrossTalkSolve:
     def test_zero_current_gives_initial_phases(self, model):
@@ -422,16 +433,23 @@ class TestReflectivityRelations:
 
 
 class TestSweepIngestion:
-    def test_relative_units(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("current,power\n0,1.0\n1000,0.5\n")
-        sweep = cal.read_sweep_csv(path, units="relative")
+    def test_relative_units(self):
+        text = "current,power\n0,1.0\n1000,0.5\n"
+        sweep = cal.read_sweep_csv(text, units="relative")
         assert abs(sweep.currents[1] - 15.0) < 1e-12
 
-    def test_ma_units(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("0,1.0\n0.5,0.9\n1.0,0.7\n")
-        sweep = cal.read_sweep_csv(path)
+    def test_ma_units(self):
+        text = "0,1.0\n0.5,0.9\n1.0,0.7\n"
+        sweep = cal.read_sweep_csv(text)
         assert sweep.currents.size == 3
         with pytest.raises(ValueError):
-            cal.read_sweep_csv(path, units="furlongs")
+            cal.read_sweep_csv(text, units="furlongs")
+
+    # a malformed row names its line
+    @pytest.mark.parametrize("row, message", [
+        ("0.5", "line 3: expected 2 numbers, got 1"),
+        ("0.5,x", "line 3: could not convert string to float: 'x'"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cal.read_sweep_csv(f"current,power\n0,1.0\n{row}\n1.0,0.7\n")

@@ -207,6 +207,30 @@ class TestDeterminism:
         assert read_tree(tmp_path / "cfg") == read_tree(tmp_path / "flag")
         assert "external" in (tmp_path / "cfg" / "calibration_fits.csv").read_text()
 
+    @staticmethod
+    def sweep_stamp(tmp_path, name, alpha):
+        """The `# config_hash` line of `calibrate --sweep` on a sweep of
+        fringe constant `alpha` written to the file `name`."""
+        import numpy as np
+        from dualrail import calibration as cal
+        sweep = cal.simulate_sweep(0.5, 0.4, 0.2, alpha,
+                                   np.arange(0.0, 20.0, 0.15))
+        path, out = tmp_path / name, tmp_path / f"out_{name}_{alpha}"
+        path.write_text("".join(f"{c!r},{p!r}\n" for c, p in
+                                zip(sweep.currents.tolist(),
+                                    sweep.powers.tolist())))
+        assert run(["calibrate", "--sweep", str(path), "--out", str(out)]) == 0
+        return (out / "calibration_fits.csv").read_text().splitlines()[1]
+
+    # the stamp covers an input file's contents, not its path
+    def test_stamp_follows_input_contents(self, tmp_path):
+        first = self.sweep_stamp(tmp_path, "sweep.csv", 0.0437)
+        rewritten = self.sweep_stamp(tmp_path, "sweep.csv", 0.05)
+        moved = self.sweep_stamp(tmp_path, "moved.csv", 0.0437)
+        assert first.startswith("# config_hash: ")
+        assert rewritten != first
+        assert moved == first
+
     def test_seed_changes_output(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -250,6 +274,27 @@ class TestExitCodes:
                     str(tmp_path / "o")]) == 1
         assert repr(line.split(" = ")[0]) in capsys.readouterr().err
 
+    def test_duplicate_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\nseed = 2\n")
+        assert run(["hom", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 1
+        assert "line 2: 'seed' given again" in capsys.readouterr().err
+
+    # each input file is read in one place, whose error names the flag and
+    # the path
+    @pytest.mark.parametrize("argv", [
+        ["hom", "--config"], ["characterize", "--chip"],
+        ["calibrate", "--sweep"], ["qpt", "--ingest"],
+        ["vqe", "--hamiltonian"],
+    ])
+    def test_unreadable_input_names_flag_and_path(self, tmp_path, capsys,
+                                                  argv):
+        path = tmp_path / "missing.txt"
+        assert run(argv + [str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"cannot read {argv[1]} {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_short_dataset_rejected(self, tmp_path):
         data = tmp_path / "short.csv"
         data.write_text("config,C1,C2,C3,C4,sum\nHHhh,1,2,3,4,10\n")
@@ -288,7 +333,7 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
 
     def test_convergence_maps_to_two(self, monkeypatch, tmp_path):
-        def boom(settings):
+        def boom(settings, inputs):
             raise ConvergenceError("stuck", residual=1.0)
         monkeypatch.setitem(cli._COMMANDS, "hom", boom)
         assert run(["hom", "--out", str(tmp_path / "o")]) == 2

@@ -95,23 +95,47 @@ class TestChipParameters:
         with pytest.raises(ValueError):
             optics.ChipParameters((0.5,) * 13, (0.0,) * 7, (0.0, 0.0))
 
-    def test_config_round_trip(self, tmp_path):
+    def test_config_round_trip(self):
         rng = np.random.default_rng(3)
         p = optics.ChipParameters(
             tuple(rng.uniform(0, 1, 13)),
             tuple(rng.uniform(0, 2 * np.pi, 8)),
             (0.1, -0.2),
         )
-        path = tmp_path / "chip.cfg"
-        optics.save_chip_parameters(p, path)
-        q = optics.load_chip_parameters(path)
+        text = optics.save_chip_parameters(p)
+        q = optics.load_chip_parameters(text)
         assert q == p
 
-    def test_config_missing_key(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("R1 = 0.5\n")
+    def test_config_missing_key(self):
         with pytest.raises(ValueError):
-            optics.load_chip_parameters(path)
+            optics.load_chip_parameters("R1 = 0.5\n")
+
+    # an unknown key, a key given twice and a value that is not a number
+    # each name the key and the line
+    @pytest.mark.parametrize("extra, message", [
+        ("R14 = 0.3", "line 24: unknown key 'R14'"),
+        ("phi9 = 1", "line 24: unknown key 'phi9'"),
+        ("R1 = 0.4", "line 24: 'R1' given again"),
+    ])
+    def test_config_bad_key(self, extra, message):
+        text = optics.save_chip_parameters(optics.ChipParameters.ideal())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optics.load_chip_parameters(text + extra + "\n")
+
+    def test_config_bad_number(self):
+        text = optics.save_chip_parameters(optics.ChipParameters.ideal())
+        with pytest.raises(ValueError, match="^line 2: 'R2': could not "
+                                             "convert string to float: 'x'$"):
+            optics.load_chip_parameters(text.replace("R2 = 0.5", "R2 = x"))
+
+
+class TestDataLines:
+    def test_drops_comments_blanks_and_headers(self):
+        text = "# title\n\nConfig,C1  \n  a, 1  # note\n#x\nconfig\nb,2"
+        assert list(optics.data_lines(text, "config")) == [(4, "a, 1"),
+                                                            (7, "b,2")]
+        assert list(optics.data_lines(text)) == [
+            (3, "Config,C1"), (4, "a, 1"), (6, "config"), (7, "b,2")]
 
 
 class TestChipUnitary:

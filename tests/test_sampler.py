@@ -192,6 +192,13 @@ class TestSampling:
             sampler.sample_counts((0.1, 0.1, 0.1, 0.1), n_events,
                                   np.random.default_rng(0))
 
+    # a bool is not an event count, and neither is a string of digits
+    @pytest.mark.parametrize("n_events", [True, "5"])
+    def test_non_integer_n_events_rejected(self, n_events):
+        with pytest.raises(ValueError, match="n_events must be a positive integer"):
+            sampler.sample_counts((0.1, 0.1, 0.1, 0.1), n_events,
+                                  np.random.default_rng(0))
+
     def test_bucket_vector_bit_exact(self):
         # the five multinomial weights, formed as np.append of the clipped
         # four and the discarded remainder, then normalized; any other

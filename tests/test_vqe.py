@@ -393,6 +393,11 @@ class TestTables:
         with pytest.raises(ValueError):
             vqe.load_pauli_table("# nothing\n")
 
+    def test_bad_number_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: could not convert "
+                                             "string to float: 'x'$"):
+            vqe.load_pauli_table("distance f0 f1 f2 f3 f4\n0.4 1 2 x 4 5\n")
+
     def test_projector_table_parsing(self):
         rows = vqe.load_projector_table(
             "0.4 1.851 0.447 0.447 -0.904 0.165 -0.165 -0.165 0.165\n")
