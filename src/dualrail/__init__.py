@@ -35,7 +35,6 @@ from .calibration import (
 )
 from .tomography import (
     QptDataset,
-    chi_fidelity,
     estimate_efficiencies,
     ideal_cnot_chi,
     mle_reconstruct,
@@ -64,7 +63,7 @@ __all__ = [
     "CalibrationSweep", "CrossTalkModel", "CurrentVector", "DacSpec",
     "apply_crosstalk", "fit_sweep", "quantize", "reflectivities_from_bc",
     "simulate_sweep", "solve_currents",
-    "QptDataset", "chi_fidelity", "estimate_efficiencies",
+    "QptDataset", "estimate_efficiencies",
     "ideal_cnot_chi", "mle_reconstruct", "predict_probability",
     "process_apply", "run_qpt_simulation",
     "GateModel", "fidelity_histogram", "realizable_gate",

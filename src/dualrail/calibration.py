@@ -29,6 +29,7 @@ TWO_PI = 2.0 * np.pi
 # sixth, at a step of 5e-7 alpha, can be the last, which leaves 14 to walk
 _SCAN = np.arange(-10, 11)
 _MAX_SCANS = 20
+_DEGENERATE_TOL = 1e-3   # flat sweep: spread or contrast per unit level below this
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,10 @@ class DacSpec:
     @property
     def step(self) -> float:
         return self.full_scale / (2 ** self.bits - 1)
+
+    def level(self, current):
+        """Nearest level, round half up, to currents I >= 0 mA: at most 2^bits - 1."""
+        return np.minimum(np.floor(current / self.step + 0.5), 2 ** self.bits - 1)
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,7 @@ def quantize(currents: CurrentVector) -> CurrentVector:
     dac = currents.dac
     vals = currents.as_array()
     clipped = bool(np.any(vals > dac.full_scale + 1e-12))
-    vals = np.clip(vals, 0.0, dac.full_scale)
-    levels = np.floor(vals / dac.step + 0.5)
-    snapped = np.clip(levels, 0, 2 ** dac.bits - 1) * dac.step
+    snapped = dac.level(np.clip(vals, 0.0, dac.full_scale)) * dac.step
     return CurrentVector(tuple(snapped), dac, clipped or currents.clipped)
 
 
@@ -254,7 +257,7 @@ def _linear_fits(s, y, alphas):
             -2.0 * np.einsum("kn,kn->k", resid, model_slope), coef)
 
 
-def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit:
+def fit_sweep(sweep: CalibrationSweep) -> SweepFit:
     """Least squares for the fringe parameters (B, C, phi0, alpha).
 
     The fringe B - C cos(phi0 + alpha I^2) is linear in (B, C cos phi0,
@@ -280,7 +283,7 @@ def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit
 
     spread = np.ptp(y)
     mean = float(np.mean(y))
-    if spread < degenerate_tol * max(abs(mean), 1.0):
+    if spread < _DEGENERATE_TOL * max(abs(mean), 1.0):
         return SweepFit(mean, 0.0, 0.0, 0.0, float(np.sum((y - mean) ** 2)),
                         degenerate=True)
 
@@ -321,7 +324,7 @@ def fit_sweep(sweep: CalibrationSweep, degenerate_tol: float = 1e-3) -> SweepFit
     residual = float(residuals[0])
     if not np.all(np.isfinite([b, c, phi0, alpha, residual])):
         raise ConvergenceError("sweep fit did not converge", residual=residual)
-    degenerate = c < degenerate_tol * max(abs(b), 1.0)
+    degenerate = c < _DEGENERATE_TOL * max(abs(b), 1.0)
     return SweepFit(float(b), c, _wrap_angle(phi0), float(alpha), residual,
                     degenerate)
 

@@ -96,15 +96,13 @@ class _Run:
         return path
 
 
-def _chip_from_settings(settings, inputs, rng=None) -> optics.ChipParameters:
+def _chip_from_settings(settings, inputs, rng) -> optics.ChipParameters:
     chip = (optics.load_chip_parameters(inputs["chip"])
             if "chip" in inputs else optics.ChipParameters.ideal())
     sigma = settings["ratio_sigma"]
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"ratio_sigma must be finite and >= 0, got {sigma}")
     if sigma > 0.0:
-        if rng is None:
-            raise ValueError("ratio_sigma perturbation needs the run rng")
         chip = chip.perturbed(sigma, rng)
     # characterize has no defect flags, only qpt does
     if settings.get("r5") is not None:
@@ -197,8 +195,9 @@ def cmd_hom(settings, inputs) -> int:
 
 
 def cmd_qpt(settings, inputs) -> int:
-    run = _Run("qpt", settings, inputs)
     if settings["simulate"]:
+        if "ingest" in inputs:
+            raise ValueError("--ingest and --simulate exclude each other")
         rng = np.random.default_rng(settings["seed"])
         chip = _chip_from_settings(settings, inputs, rng)
         dataset = tomography.run_qpt_simulation(
@@ -206,16 +205,26 @@ def cmd_qpt(settings, inputs) -> int:
             seed=settings["seed"], phase_bias=settings["phase_bias"],
         )
         source = "simulated"
-    elif "ingest" in inputs:
-        dataset = tomography.dataset_from_csv(inputs["ingest"])
-        source = settings["ingest"]
     else:
-        dataset = tomography.load_reference_counts()
-        source = "bundled reference counts"
+        # the simulation settings keep their declared defaults, which only
+        # a fresh parser holds once a config file has replaced them
+        declared = _setting_actions(build_parser()[1]["qpt"])
+        for key in ("chip", "r5", "r9", "theta1", "x", "shots", "phase_bias",
+                    "ratio_sigma"):
+            if settings[key] != declared[key].default:   # NaN differs too
+                raise ValueError(f"{declared[key].option_strings[0]} "
+                                 "needs --simulate")
+        if "ingest" in inputs:
+            dataset = tomography.dataset_from_csv(inputs["ingest"])
+            source = settings["ingest"]
+        else:
+            dataset = tomography.load_reference_counts()
+            source = "bundled reference counts"
 
     result = tomography.mle_reconstruct(dataset)
-    fid = tomography.chi_fidelity(result.chi, tomography.ideal_cnot_chi())
+    fid = optics.fidelity(result.chi, tomography.ideal_cnot_chi())
 
+    run = _Run("qpt", settings, inputs)
     run.write("dataset.csv", tomography.dataset_to_csv(dataset))
     real_csv, imag_csv, eig_csv = tomography.export_chi_csv(result.chi)
     run.write("chi_real.csv", real_csv)

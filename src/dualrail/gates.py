@@ -76,11 +76,9 @@ def _realize(model: GateModel, targets) -> tuple[np.ndarray, np.ndarray]:
         raise InfeasibleTargetError(
             f"phase {targets[unreachable][0]} outside reachable range [{lo}, {hi}]"
         )
-    current = np.sqrt(delta / model.alpha)
-    step = model.dac.step
-    level = np.minimum(np.floor(current / step + 0.5), 2 ** model.dac.bits - 1)
+    level = model.dac.level(np.sqrt(delta / model.alpha))
     # float_power rounds as a scalar ** 2 does; an array ** 2 multiplies
-    realized = model.phi0 + model.alpha * np.float_power(level * step, 2)
+    realized = model.phi0 + model.alpha * np.float_power(level * model.dac.step, 2)
     return model.matrix(realized), realized
 
 

@@ -22,11 +22,11 @@ import numpy as np
 from .errors import ConvergenceError
 
 UNITARY_TOL = 1e-10
+N_MODES = 6
 
 # 0-based rails: qubit 1 lives on modes (1, 2), qubit 2 on (3, 4)
 QUBIT1_RAILS = (1, 2)
 QUBIT2_RAILS = (3, 4)
-ANCILLA_MODES = (0, 5)
 _QUBIT2_BLOCK = np.ix_(QUBIT2_RAILS, QUBIT2_RAILS)
 
 # Fock occupation vectors for the photon-pair input and the four
@@ -69,14 +69,14 @@ def mzi_matrix(r1, r2, phi) -> np.ndarray:
     return dc_matrix(r2) @ phase_matrix(phi) @ dc_matrix(r1)
 
 
-def embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int = 6) -> np.ndarray:
-    """Place a (stack of) k x k block(s) on the given modes of an n-mode identity."""
+def embed(block: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """Place a (stack of) k x k block(s) on the given modes of the 6-mode identity."""
     k = block.shape[-1]
     if block.shape[-2:] != (k, k) or len(modes) != k:
         raise ValueError("block shape and mode count disagree")
-    out = np.zeros(block.shape[:-2] + (n_modes * n_modes,), dtype=complex)
-    out[..., :: n_modes + 1] = 1.0  # the identity, on the flattened matrix
-    out = out.reshape(block.shape[:-2] + (n_modes, n_modes))
+    out = np.zeros(block.shape[:-2] + (N_MODES * N_MODES,), dtype=complex)
+    out[..., :: N_MODES + 1] = 1.0  # the identity, on the flattened matrix
+    out = out.reshape(block.shape[:-2] + (N_MODES, N_MODES))
     idx = np.asarray(modes)
     out[..., idx[:, None], idx] = block
     return out
@@ -115,6 +115,9 @@ class ChipParameters:
         for j, r in enumerate(ratios, start=1):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"R{j}={r} outside [0, 1]")
+        for name, value in zip(_CHIP_KEYS[13:], phases + static):
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value} is not finite")
         object.__setattr__(self, "splitting_ratios", ratios)
         object.__setattr__(self, "tunable_phases", phases)
         object.__setattr__(self, "static_phases", static)
@@ -207,6 +210,8 @@ def chip_unitaries(params: ChipParameters, phases) -> np.ndarray:
     p = np.asarray(phases, dtype=float)
     if p.shape[-1:] != (8,):
         raise ValueError("expected 8 tunable phases along the last axis")
+    if not np.isfinite(p).all():
+        raise ValueError("tunable phases must be finite")
     prep1, prep2, _, _ = _stage_couplers(params)
     # q[..., qubit, :] holds the preparation (MZI, rail) phases: DC, MZI
     # phase, DC, rail phase, in the product order of `mzi_matrix`
@@ -220,12 +225,12 @@ def build_chip_unitary(params: ChipParameters) -> np.ndarray:
     return chip_unitaries(params, params.tunable_phases)
 
 
-def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     dev = m.conj().T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(dev))) < tol
+    return float(np.max(np.abs(dev))) < UNITARY_TOL
 
 
 def fidelity(u_e: np.ndarray, u_t: np.ndarray) -> float | np.ndarray:

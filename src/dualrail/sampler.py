@@ -155,10 +155,11 @@ def prob_partial(U: np.ndarray, input_state, output_state, x: float) -> float:
     return float(_two_photon(U, *modes, x))
 
 
-def two_photon_states(n_modes: int = 6) -> list[tuple[int, ...]]:
-    """All C(n+1, 2) two-photon occupation vectors on n modes."""
-    return [tuple((m == i) + (m == j) for m in range(n_modes))
-            for i in range(n_modes) for j in range(i, n_modes)]
+def two_photon_states() -> list[tuple[int, ...]]:
+    """All 21 two-photon occupation vectors on the chip's six modes."""
+    n = optics.N_MODES
+    return [tuple((m == i) + (m == j) for m in range(n))
+            for i in range(n) for j in range(i, n)]
 
 
 # output mode pairs (i, j) of the coincidences C1..C4
@@ -215,19 +216,12 @@ def _draw(p: np.ndarray, n_events: int, rng: np.random.Generator):
     return rng.multinomial(n_events, buckets)[..., :4]
 
 
-def hom_curve(
-    U: np.ndarray,
-    x_values,
-    input_state=(0, 0, 1, 1, 0, 0),
-    output_state=(0, 0, 1, 0, 1, 0),
-) -> np.ndarray:
-    """Coincidence probability versus photon overlap for a HOM scan.
-
-    Defaults to the on-chip configuration: photons into modes 3 and 4,
-    coincidences monitored between modes 3 and 5 (the chip set to the bare
-    CNOT acts as a balanced splitter between those modes).
-    """
-    modes = _pair_modes(np.asarray(U).shape[0], input_state, output_state)
+def hom_curve(U: np.ndarray, x_values) -> np.ndarray:
+    """Coincidence probability versus photon overlap for the on-chip HOM scan:
+    photons into modes 3 and 4, coincidences between modes 3 and 5, between
+    which the chip set to the bare CNOT acts as a balanced splitter."""
+    modes = _pair_modes(np.asarray(U).shape[0], (0, 0, 1, 1, 0, 0),
+                        (0, 0, 1, 0, 1, 0))
     return _two_photon(U, *modes, x_values)
 
 

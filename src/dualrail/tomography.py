@@ -73,24 +73,21 @@ def predict_probability(chi: np.ndarray, prep_state, proj_state) -> float:
     return float(np.real(np.vdot(u, np.asarray(chi, complex) @ u)))
 
 
-def chi_fidelity(chi_e: np.ndarray, chi_t: np.ndarray) -> float:
-    """Normalized trace-overlap fidelity between process matrices."""
-    return optics.fidelity(chi_e, chi_t)
+_HERM_TOL, _PSD_TOL, _TRACE_TOL = 1e-10, 1e-9, 1e-9   # `check_chi`'s bounds
 
 
-def check_chi(chi: np.ndarray, herm_tol: float = 1e-10, psd_tol: float = 1e-9,
-              trace_tol: float = 1e-9) -> None:
+def check_chi(chi: np.ndarray) -> None:
     """Raise if chi is not a 16 x 16 finite matrix, Hermitian, PSD, and unit trace."""
     chi = np.asarray(chi)
     if chi.shape != (16, 16):
         raise ValueError(f"chi must be 16 x 16, got shape {chi.shape}")
     if not np.isfinite(chi).all():
         raise ValueError("chi has non-finite entries")
-    if np.max(np.abs(chi - chi.conj().T)) > herm_tol:
+    if np.max(np.abs(chi - chi.conj().T)) > _HERM_TOL:
         raise ValueError("chi is not Hermitian")
-    if np.linalg.eigvalsh(chi).min() < -psd_tol:
+    if np.linalg.eigvalsh(chi).min() < -_PSD_TOL:
         raise ValueError("chi is not positive semidefinite")
-    if abs(np.trace(chi).real - 1.0) > trace_tol:
+    if abs(np.trace(chi).real - 1.0) > _TRACE_TOL:
         raise ValueError("chi does not have unit trace")
 
 
@@ -546,25 +543,19 @@ def run_qpt_simulation(
     shots_per_config: int = 2000,
     seed: int = 0,
     phase_bias: float = 0.0,
-    detector_efficiencies=None,
     labels=None,
 ) -> QptDataset:
     """Simulate the full tomography run over the standard 64 configurations.
 
     `shots_per_config` is the expected number of registered coincidences;
     the underlying pair number is nine times that, matching the 1/9
-    post-selection success of the ideal gate.  Optional per-detector
-    efficiencies thin the four outcomes before sampling.
+    post-selection success of the ideal gate.
     """
     shots = sampler._shot_count(shots_per_config, "shots_per_config")
     labels = reference_config_labels() if labels is None else list(labels)
-    eta = np.ones(4) if detector_efficiencies is None \
-        else np.asarray(detector_efficiencies, dtype=float)
-    if eta.shape != (4,) or not ((eta >= 0) & (eta <= 1)).all():   # NaN fails
-        raise ValueError("detector efficiencies must be 4 values in [0, 1]")
     phases = [config_phase_settings(label, phase_bias) for label in labels]
     probs = sampler.coincidence_probabilities(
-        optics.chip_unitaries(chip, np.reshape(phases, (-1, 8))), x) * eta
+        optics.chip_unitaries(chip, np.reshape(phases, (-1, 8))), x)
     counts = sampler.sample_counts(probs, 9 * shots,
                                    np.random.default_rng(seed))
     return QptDataset(tuple(zip(labels, counts.tolist())))

@@ -32,6 +32,8 @@ from . import optics, sampler, tomography
 from .errors import DegenerateDataError
 
 TWO_PI = 2.0 * np.pi
+_COEFFICIENT_FLOOR = 1e-8   # Ha; smaller Hamiltonian terms are dropped
+_SWEEP_TOL = 1e-9   # Ha; exact mode stops when a sweep moves the energy by less
 
 HH_MEAS_PHASES = tomography.MEAS_PHASES["h"] * 2
 DD_MEAS_PHASES = tomography.MEAS_PHASES["d"] * 2
@@ -65,9 +67,10 @@ class PauliHamiltonian:
     def coefficients(self) -> np.ndarray:
         return np.array([self.f0, self.f1, self.f2, self.f3, self.f4])
 
-    def filtered(self, threshold: float = 1e-8) -> "PauliHamiltonian":
-        """Drop terms with magnitude below `threshold`."""
-        f = [v if abs(v) >= threshold else 0.0 for v in self.coefficients()]
+    def filtered(self) -> "PauliHamiltonian":
+        """Drop terms with magnitude below `_COEFFICIENT_FLOOR`."""
+        f = [v if abs(v) >= _COEFFICIENT_FLOOR else 0.0
+             for v in self.coefficients()]
         return PauliHamiltonian(*f)
 
     def matrix(self) -> np.ndarray:
@@ -350,7 +353,6 @@ def run_vqe(
     shots_per_basis: int | None = None,
     seed: int = 0,
     max_evaluations: int = 2000,
-    tol: float = 1e-9,
 ) -> VqeResult:
     """Minimize the measured energy over the four preparation phases by
     sequential minimal optimization (NFT, Rotosolve).
@@ -359,16 +361,14 @@ def run_vqe(
     2pi/3 and 4pi/3 in one forward-model call and moves phi_k to the minimum
     of the energy of the sinusoids through the raw values, on a grid refined
     in exact mode.  Exact probabilities stop when a sweep of four steps moves
-    the energy by less than `tol`; `stagnated` means max_evaluations ran out
-    first.  Counts run to that budget.  The best measured point is measured
-    again.  Coefficients below 1e-8 are dropped.
+    the energy by less than `_SWEEP_TOL`; `stagnated` means max_evaluations
+    ran out first.  Counts run to that budget.  The best measured point is
+    measured again.  Coefficients below `_COEFFICIENT_FLOOR` are dropped.
     """
     if not (isinstance(max_evaluations, (int, np.integer))   # bools are < 4
             and max_evaluations >= 4):
         raise ValueError(
             f"need an integer max_evaluations >= 4, got {max_evaluations!r}")
-    if not 0.0 <= tol < np.inf:   # NaN fails this too
-        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
     if shots_per_basis is not None:
         shots_per_basis = sampler._shot_count(shots_per_basis, "shots_per_basis")
     hamiltonian = hamiltonian.filtered()
@@ -394,7 +394,7 @@ def run_vqe(
         shift, energy = _coordinate_minimum(h_proj, raw, exact)
         x[k] = np.mod(x[k] + shift, TWO_PI)
         # a sweep starts at the first of its 12 measured points
-        if exact and k == 3 and abs(energy - energies[rows.stop - 12]) < tol:
+        if exact and k == 3 and abs(energy - energies[rows.stop - 12]) < _SWEEP_TOL:
             stagnated = False
             break
 

@@ -21,7 +21,7 @@ def test_criterion_01_reference_counts_regression():
     dataset = tomo.load_reference_counts()
     result = tomo.mle_reconstruct(dataset, efficiencies=(1.0,) * 4)
     tomo.check_chi(result.chi)
-    fid = tomo.chi_fidelity(result.chi, tomo.ideal_cnot_chi())
+    fid = optics.fidelity(result.chi, tomo.ideal_cnot_chi())
     assert 0.90 <= fid <= 0.97
     report("criterion 1", f"reference-data fidelity {fid:.4f} in [0.90, 0.97]")
 
@@ -29,13 +29,13 @@ def test_criterion_01_reference_counts_regression():
 def test_criterion_02_closed_loop_reconstruction():
     chip = optics.ChipParameters.ideal()
     ds_low = tomo.run_qpt_simulation(chip, x=1.0, shots_per_config=2000, seed=2)
-    fid_low = tomo.chi_fidelity(
+    fid_low = optics.fidelity(
         tomo.mle_reconstruct(ds_low).chi,
         tomo.ideal_cnot_chi())
     assert fid_low >= 0.99
     ds_high = tomo.run_qpt_simulation(chip, x=1.0, shots_per_config=10 ** 6,
                                       seed=3)
-    fid_high = tomo.chi_fidelity(
+    fid_high = optics.fidelity(
         tomo.mle_reconstruct(ds_high).chi,
         tomo.ideal_cnot_chi())
     assert fid_high >= 0.999
@@ -51,7 +51,7 @@ def test_criterion_03_distinguishability_monotonicity():
         ds = tomo.run_qpt_simulation(chip, x=x, shots_per_config=10 ** 5,
                                      seed=30 + i)
         res = tomo.mle_reconstruct(ds)
-        fids.append(tomo.chi_fidelity(res.chi, tomo.ideal_cnot_chi()))
+        fids.append(optics.fidelity(res.chi, tomo.ideal_cnot_chi()))
     assert all(a > b for a, b in zip(fids, fids[1:]))
     report("criterion 3",
            "fidelity strictly decreasing over x sweep: "

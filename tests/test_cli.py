@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dualrail import cli, tomography
+from dualrail import cli, optics, tomography
 from dualrail.errors import ConvergenceError
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -339,6 +340,71 @@ class TestExitCodes:
         assert run(["hom", "--out", str(tmp_path / "o")]) == 2
 
 
+class TestQptSimulationSettings:
+    # without --simulate, qpt reads none of the simulation settings: one set
+    # away from its default is an error that names the flag, raised before
+    # the output directory is made
+    @pytest.mark.parametrize("flag, value", [
+        ("--chip", "chip.txt"), ("--r5", "0.45"), ("--r9", "0.45"),
+        ("--theta1", "0.2"), ("--x", "0.978"), ("--x", "nan"),
+        ("--shots", "7"), ("--phase-bias", "0.05"), ("--ratio-sigma", "0.01"),
+    ])
+    def test_flag_needs_simulate(self, tmp_path, capsys, flag, value):
+        if flag == "--chip":
+            value = str(tmp_path / value)
+            Path(value).write_text(
+                optics.save_chip_parameters(optics.ChipParameters.ideal()))
+        out = tmp_path / "o"
+        assert run(["qpt", flag, value, "--out", str(out)]) == 1
+        assert f"{flag} needs --simulate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_needs_simulate(self, tmp_path, capsys):
+        cfg = tmp_path / "qpt.cfg"
+        cfg.write_text("r5 = 0.45\n")
+        out = tmp_path / "o"
+        assert run(["qpt", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "--r5 needs --simulate" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a flag at its declared default sets nothing: same settings, same bytes
+    def test_defaults_given_explicitly_are_plain_qpt(self, tmp_path):
+        assert run(["qpt", "--out", str(tmp_path / "plain")]) == 0
+        assert run(["qpt", "--shots", "2000", "--x", "1.0", "--phase-bias", "0",
+                    "--out", str(tmp_path / "explicit")]) == 0
+        assert read_tree(tmp_path / "plain") == read_tree(tmp_path / "explicit")
+
+    def test_ingest_with_simulate_rejected(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text(tomography.dataset_to_csv(
+            tomography.load_reference_counts()))
+        out = tmp_path / "o"
+        assert run(["qpt", "--simulate", "--ingest", str(data),
+                    "--out", str(out)]) == 1
+        assert "--ingest and --simulate" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a non-finite phase fails with a message that names it, not downstream
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--phase-bias", "nan", "tunable phases must be finite"),
+        ("--theta1", "inf", "theta1=inf is not finite"),
+    ])
+    def test_non_finite_phase_rejected(self, tmp_path, capsys, flag, value,
+                                       message):
+        out = tmp_path / "o"
+        assert run(["qpt", "--simulate", flag, value, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_chip_file_phase_rejected(self, tmp_path, capsys):
+        chip = tmp_path / "chip.txt"
+        chip.write_text(optics.save_chip_parameters(
+            optics.ChipParameters.ideal()).replace("theta2 = 0.0", "theta2 = nan"))
+        assert run(["characterize", "--chip", str(chip),
+                    "--out", str(tmp_path / "o")]) == 1
+        assert "theta2=nan is not finite" in capsys.readouterr().err
+
+
 class TestPackageExports:
     def test_all_names_resolve(self):
         import dualrail
@@ -352,6 +418,21 @@ class TestPackageExports:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         public = {n for n in imported if not n.startswith("_")}
         assert sorted(public - set(dualrail.__all__)) == []
+
+    # a traced benchmark run wraps each (module, attribute) of TRACED by
+    # name; the file is executed without writing bytecode next to it
+    def test_traced_names_resolve(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = SRC.parent / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)   # dataclasses
+        spec.loader.exec_module(tracing)
+        assert tracing.TRACED
+        for module, attr in tracing.TRACED:
+            fn = getattr(importlib.import_module(f"dualrail.{module}"), attr,
+                         None)
+            assert callable(fn), f"{module}.{attr}"
 
 
 class TestImportsLoadNoScipy:

@@ -135,6 +135,37 @@ class TestFidelityHistogram:
             gates.fidelity_histogram(gates.GateModel("rz", alpha=0.05), 0)
 
 
+# The DAC rounding rule as `calibration.quantize` and `gates._realize` each
+# spelled it out before both came to call `DacSpec.level`.
+def quantize_formula(currents, dac):
+    levels = np.floor(np.clip(currents, 0.0, dac.full_scale) / dac.step + 0.5)
+    return np.clip(levels, 0, 2 ** dac.bits - 1) * dac.step
+
+
+def realize_formula(model, targets):
+    current = np.sqrt(np.mod(targets - model.phi0, 2 * np.pi) / model.alpha)
+    step = model.dac.step
+    level = np.minimum(np.floor(current / step + 0.5), 2 ** model.dac.bits - 1)
+    return model.phi0 + model.alpha * np.float_power(level * step, 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(bits=st.integers(1, 48), full_scale=st.floats(1e-3, 1e3),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_dac_rule_matches_former_formulas(bits, full_scale, fractions):
+    dac = cal.DacSpec(bits, full_scale)
+    currents = np.array(fractions) * full_scale
+    quantized = cal.quantize(cal.CurrentVector(tuple(currents), dac)).values
+    assert quantized == tuple(quantize_formula(currents, dac).tolist())
+    # a range of 6 rad < 2 pi reaches every current, at target alpha I^2
+    model = gates.GateModel("rz", alpha=6.0 / full_scale ** 2, dac=dac)
+    targets = model.alpha * currents ** 2
+    expected = realize_formula(model, targets)
+    assert gates._realize(model, targets)[1].tolist() == expected.tolist()
+    for phi, want in zip(targets.tolist(), expected.tolist()):
+        assert gates.realizable_gate(model, phi)[1] == want
+
+
 class TestBatchedPath:
     """`fidelity_histogram` evaluates every sample in one batch; each entry
     must equal the one-target path bit for bit."""

@@ -89,6 +89,15 @@ class TestChipParameters:
         with pytest.raises(ValueError):
             optics.ChipParameters((1.5,) + (0.5,) * 12, (0.0,) * 8, (0.0, 0.0))
 
+    @pytest.mark.parametrize("index, name", [(0, "phi1"), (7, "phi8"),
+                                             (8, "theta1"), (9, "theta2")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_named(self, index, name, bad):
+        phases = [0.0] * 10
+        phases[index] = bad
+        with pytest.raises(ValueError, match=f"^{name}={bad} is not finite$"):
+            optics.ChipParameters((0.5,) * 13, phases[:8], phases[8:])
+
     def test_field_counts_enforced(self):
         with pytest.raises(ValueError):
             optics.ChipParameters((0.5,) * 12, (0.0,) * 8, (0.0, 0.0))
@@ -154,6 +163,13 @@ class TestChipUnitary:
             )
             u = optics.build_chip_unitary(p)
             assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_phase_row_rejected(self, bad):
+        phases = np.zeros((3, 8))
+        phases[1, 4] = bad
+        with pytest.raises(ValueError, match="tunable phases must be finite"):
+            optics.chip_unitaries(optics.ChipParameters.ideal(), phases)
 
     def test_transparent_couplers_diagonal(self):
         p = optics.ChipParameters((1.0,) * 13, (0.0,) * 8, (0.0, 0.0))

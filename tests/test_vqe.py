@@ -312,18 +312,6 @@ class TestRunVqe:
                           max_evaluations=np.int64(7))
         assert len(res.trace.energies) == 7
 
-    @pytest.mark.parametrize("shots", [None, 500])
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
-    def test_tol_must_be_finite_nonnegative(self, h2, shots, tol):
-        with pytest.raises(ValueError, match="tol"):
-            vqe.run_vqe(optics.ChipParameters.ideal(), h2,
-                        shots_per_basis=shots, tol=tol)
-
-    def test_zero_tol_accepted(self, h2):
-        res = vqe.run_vqe(optics.ChipParameters.ideal(), h2,
-                          max_evaluations=40, tol=0.0)
-        assert len(res.trace.energies) == 40
-
     @pytest.mark.parametrize("refine", [False, True])
     def test_coordinate_step_skips_shifts_without_coincidences(self, h2,
                                                                refine):
